@@ -47,9 +47,11 @@ bench:
 ## bench-guard: fail if a hot path leaks allocation back in or regresses
 ## past the recorded snapshot — benchsnap -max-allocs checks the monitoring
 ## round and warm re-calibration against their budgets, and -compare diffs
-## both against BENCH_$(PR).json with a $(BENCH_MAX_REGRESS)% ceiling
+## both against BENCH_$(PR).json with a $(BENCH_MAX_REGRESS)% ceiling. The
+## snapshot was recorded at one proc and the worker-pool allocations scale
+## with GOMAXPROCS, so both targets pin -cpu 1
 bench-guard:
-	$(GO) test . -run XXX -bench 'MonitorRound$$|Calibrate$$' -benchtime 20x -benchmem \
+	$(GO) test . -run XXX -bench 'MonitorRound$$|Calibrate$$' -benchtime 20x -benchmem -cpu 1 \
 		| $(GO) run ./cmd/benchsnap \
 			-max-allocs 'MonitorRound=$(MONITOR_ALLOC_BUDGET)' \
 			-max-allocs 'Calibrate=$(CALIB_ALLOC_BUDGET)' \
@@ -60,10 +62,10 @@ bench-guard:
 ## calibrate 100k buses first, so this runs for tens of minutes) as
 ## machine-readable JSON (BENCH_$(PR).json) for cross-PR diffing
 bench-snapshot:
-	{ $(GO) test -short . ./internal/daemon -run XXX -bench 'IIPMeasurement|ReflectionSynthesis|Similarity|ErrorFunction|MonitorRound|MonitorAll|ClientRoundTrip|FleetScheduler|Attest$$|FleetHealth|DaemonStartup|Calibrate$$' -benchtime 20x -benchmem ; \
-	  $(GO) test ./internal/daemon -run XXX -bench 'FleetColdStart' -benchtime 1x -benchmem -timeout 30m ; \
-	  $(GO) test ./internal/daemon -run XXX -bench 'EventFanout' -benchmem ; \
-	  $(GO) test ./cmd/divotherd -run XXX -bench 'FederatedAttest' -benchtime 1x -benchmem -timeout 90m ; } \
+	{ $(GO) test -short . ./internal/daemon -run XXX -bench 'IIPMeasurement|ReflectionSynthesis|Similarity|ErrorFunction|MonitorRound|MonitorAll|ClientRoundTrip|FleetScheduler|Attest$$|FleetHealth|DaemonStartup|Calibrate$$' -benchtime 20x -benchmem -cpu 1 ; \
+	  $(GO) test ./internal/daemon -run XXX -bench 'FleetColdStart' -benchtime 1x -benchmem -cpu 1 -timeout 30m ; \
+	  $(GO) test ./internal/daemon -run XXX -bench 'EventFanout' -benchmem -cpu 1 ; \
+	  $(GO) test ./cmd/divotherd -run XXX -bench 'FederatedAttest' -benchtime 1x -benchmem -cpu 1 -timeout 90m ; } \
 		| $(GO) run ./cmd/benchsnap > BENCH_$(PR).json
 
 # EventFanout runs on the default time-based benchtime, not 20x: its
@@ -78,12 +80,14 @@ bench-experiments:
 ## fuzz-short: a quick native-fuzzing pass over the adversarial-input
 ## decoders — the snapshot envelope, the WAL record scanner/replayer, and the
 ## binary stream frame codec must never panic or fabricate a record on
-## adversarial bytes (CI runs this on every push)
+## adversarial bytes, and the attest codec's ParseBody must return exactly
+## what the encoding/json oracle returns (CI runs this on every push)
 fuzz-short:
 	$(GO) test ./internal/store -run XXX -fuzz FuzzDecodeSnapshot -fuzztime 10s
 	$(GO) test ./internal/store -run XXX -fuzz FuzzScanRecord -fuzztime 10s
 	$(GO) test ./internal/store -run XXX -fuzz FuzzWALReplay -fuzztime 10s
 	$(GO) test ./internal/wire -run XXX -fuzz FuzzDecodeFrame -fuzztime 10s
+	$(GO) test ./internal/attest -run XXX -fuzz FuzzParseBody -fuzztime 10s
 
 ## quality-guard: fail if detection quality regressed — divotlab re-runs the
 ## short fixed-seed grid and compares every cell's TPR/FPR and every ROC

@@ -1,8 +1,10 @@
 package attest
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 )
 
@@ -61,8 +63,13 @@ type Envelope struct {
 }
 
 // WriteData renders a success envelope. Encoding failures of v itself are a
-// programming error and reported as a 500 error envelope.
+// programming error and reported as a 500 error envelope. The verdict-bearing
+// responses take the reflection-free codec (codec.go), which writes the same
+// bytes.
 func WriteData(w http.ResponseWriter, status int, v any) {
+	if writeCodec(w, status, v) {
+		return
+	}
 	raw, err := json.Marshal(v)
 	if err != nil {
 		WriteError(w, CodeInternal, "encoding response: %v", err)
@@ -89,8 +96,14 @@ func writeEnvelope(w http.ResponseWriter, status int, env Envelope) {
 
 // ParseBody unwraps an envelope: an error envelope comes back as *Error, a
 // success envelope is unmarshalled into out (out may be nil to discard).
-// Future protocol versions are rejected rather than misread.
+// Future protocol versions are rejected rather than misread. A zero-valued
+// verdict-bearing destination in canonical form is decoded in one pass by the
+// codec (codec.go); everything else, and every error, comes from the
+// two-pass encoding/json path below.
 func ParseBody(body []byte, out any) error {
+	if parseCodec(body, out) {
+		return nil
+	}
 	var env Envelope
 	if err := json.Unmarshal(body, &env); err != nil {
 		return fmt.Errorf("attest: response is not an envelope: %w", err)
@@ -108,4 +121,30 @@ func ParseBody(body []byte, out any) error {
 		return fmt.Errorf("attest: decoding response data: %w", err)
 	}
 	return nil
+}
+
+// MaxRequestBody bounds the request bodies the servers read.
+const MaxRequestBody = 16 << 20
+
+// ReadAttestRequest reads and parses a POST /v1/attest body for divotd and
+// divotherd alike. An empty or all-whitespace body is the whole-fleet
+// request. A body larger than MaxRequestBody, or one that is not exactly one
+// JSON value decoding into AttestRequest (trailing data and a second value
+// included), is an error the servers answer 400 bad_request.
+func ReadAttestRequest(body io.Reader) (AttestRequest, error) {
+	var req AttestRequest
+	raw, err := io.ReadAll(io.LimitReader(body, MaxRequestBody+1))
+	if err != nil {
+		return req, fmt.Errorf("reading attest request: %w", err)
+	}
+	if len(raw) > MaxRequestBody {
+		return req, fmt.Errorf("attest request exceeds %d bytes", MaxRequestBody)
+	}
+	if len(bytes.Trim(raw, " \t\r\n")) == 0 {
+		return req, nil
+	}
+	if err := json.Unmarshal(raw, &req); err != nil {
+		return req, fmt.Errorf("parsing attest request: %w", err)
+	}
+	return req, nil
 }

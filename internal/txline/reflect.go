@@ -186,8 +186,9 @@ func (l *Line) ReflectInto(s *ReflectScratch, p Probe, deltaT, stretch float64, 
 			t := float64(i)/rate - tEv
 			out.Samples[i] += amp * 0.5 * (1 + math.Erf(t/(sigma*math.Sqrt2)))
 		}
-		// Samples after the window see the full step.
-		for i := hiIdx; i < n; i++ {
+		// Samples after the window see the full step; an arrival before
+		// t = 0 (hiIdx < 0) contributes it everywhere.
+		for i := max(hiIdx, 0); i < n; i++ {
 			out.Samples[i] += amp
 		}
 	}

@@ -96,3 +96,33 @@ func TestReflectIntoMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestReflectIntoNegativeStretch: under a negative stretch every arrival
+// falls before t = 0, which sends ReflectInto down the non-monotone
+// fallback with window ends below zero. Each such arrival must contribute
+// its full step to every sample — no panic, and the late samples carry the
+// sum of all event amplitudes.
+func TestReflectIntoNegativeStretch(t *testing.T) {
+	l := New("negative-stretch", DefaultConfig(), rng.New(7).Child("line"))
+	p := DefaultProbe()
+	const rate, n = 1 / 11.16e-12, 343
+	var s ReflectScratch
+	w := l.ReflectInto(&s, p, 0, -0.5, rate, n)
+	if len(w.Samples) != n {
+		t.Fatalf("len = %d, want %d", len(w.Samples), n)
+	}
+	for i, v := range w.Samples {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Fatalf("sample %d = %v", i, v)
+		}
+	}
+	total := 0.0
+	for _, ev := range s.events {
+		total += p.Amplitude * ev.a
+	}
+	if got := w.Samples[n-1]; math.Abs(got-total) > 1e-12 {
+		t.Errorf("last sample %v, want the full-step sum %v", got, total)
+	}
+	// The allocating entry point takes the same path.
+	l.Reflect(p, 0, -0.5, rate, n)
+}
