@@ -103,6 +103,9 @@ func (l *Line) ReflectInto(s *ReflectScratch, p Probe, deltaT, stretch float64, 
 	// Each reflection is the incident erf edge delayed to the event time.
 	// Evaluate the edge only within ±5σ of its transition and hold 0/full
 	// outside — exact to 3e-7 and ~50x faster than evaluating erf everywhere.
+	// Inside the window the edge comes from erfTable, whose error against
+	// math.Erf is at most 1.7e-13 — six orders of magnitude under the
+	// window's own 3e-7.
 	window := 5 * sigma
 
 	// Post-window samples see the full step of every earlier event, so the
@@ -112,8 +115,9 @@ func (l *Line) ReflectInto(s *ReflectScratch, p Probe, deltaT, stretch float64, 
 	// monotonically non-decreasing; when they are, each sample's tail sum is
 	// a prefix sum over the event amplitudes and can be written once by
 	// assignment into the zeroed buffer. The running prefix uses the same
-	// left-to-right fold the tail loops performed, so results stay
-	// bit-identical (see TestReflectIntoMatchesReference).
+	// left-to-right fold the tail loops performed, so the restructure adds
+	// no rounding of its own: the waveform stays within 1e-12 of the
+	// math.Erf reference superposition (TestReflectIntoMatchesReference).
 	if cap(s.hi) < len(events) {
 		s.hi = make([]int, len(events))
 	}
@@ -151,20 +155,7 @@ func (l *Line) ReflectInto(s *ReflectScratch, p Probe, deltaT, stretch float64, 
 		// for any sample every tail contribution comes from an earlier event
 		// than every window contribution.
 		for _, ev := range events {
-			tEv := ev.t * stretch
-			amp := p.Amplitude * ev.a
-			loIdx := int((tEv - window) * rate)
-			hiIdx := int((tEv+window)*rate) + 1
-			if loIdx < 0 {
-				loIdx = 0
-			}
-			if hiIdx > n {
-				hiIdx = n
-			}
-			for i := loIdx; i < hiIdx; i++ {
-				t := float64(i)/rate - tEv
-				out.Samples[i] += amp * 0.5 * (1 + math.Erf(t/(sigma*math.Sqrt2)))
-			}
+			addEdge(out.Samples, p.Amplitude*ev.a, ev.t*stretch, window, sigma, rate)
 		}
 		return out
 	}
@@ -172,20 +163,8 @@ func (l *Line) ReflectInto(s *ReflectScratch, p Probe, deltaT, stretch float64, 
 	// Fallback for non-monotone arrival times (negative stretch or a
 	// pathological profile): the original combined superposition.
 	for _, ev := range events {
-		tEv := ev.t * stretch
 		amp := p.Amplitude * ev.a
-		loIdx := int((tEv - window) * rate)
-		hiIdx := int((tEv+window)*rate) + 1
-		if loIdx < 0 {
-			loIdx = 0
-		}
-		if hiIdx > n {
-			hiIdx = n
-		}
-		for i := loIdx; i < hiIdx; i++ {
-			t := float64(i)/rate - tEv
-			out.Samples[i] += amp * 0.5 * (1 + math.Erf(t/(sigma*math.Sqrt2)))
-		}
+		hiIdx := addEdge(out.Samples, amp, ev.t*stretch, window, sigma, rate)
 		// Samples after the window see the full step; an arrival before
 		// t = 0 (hiIdx < 0) contributes it everywhere.
 		for i := max(hiIdx, 0); i < n; i++ {
@@ -193,6 +172,26 @@ func (l *Line) ReflectInto(s *ReflectScratch, p Probe, deltaT, stretch float64, 
 		}
 	}
 	return out
+}
+
+// addEdge adds one arrival's windowed erf transition to out: amplitude amp,
+// centred at tEv seconds, over the samples within ±window of it. It returns
+// the window's end index, clamped above to len(out) but not below, so an
+// arrival before t = 0 returns a negative index.
+func addEdge(out []float64, amp, tEv, window, sigma, rate float64) int {
+	loIdx := int((tEv - window) * rate)
+	hiIdx := int((tEv+window)*rate) + 1
+	if loIdx < 0 {
+		loIdx = 0
+	}
+	if hiIdx > len(out) {
+		hiIdx = len(out)
+	}
+	for i := loIdx; i < hiIdx; i++ {
+		t := float64(i)/rate - tEv
+		out[i] += amp * 0.5 * (1 + erfTab(t/(sigma*math.Sqrt2)))
+	}
+	return hiIdx
 }
 
 // TotalReflectionEnergyBound returns the sum of absolute reflection
