@@ -301,6 +301,15 @@ func NewWithStore(spec Spec, cfg divot.Config, backend store.Backend) (*Daemon, 
 // nil and the spec names a state_dir, the daemon opens (and owns) the
 // embedded file backend there, recovering any torn WAL tails from a crash.
 func newDaemon(spec Spec, cfg divot.Config, backend store.Backend) (*Daemon, error) {
+	// A scripted attack off the line would panic in the scheduler when it
+	// mounts; refuse it here, where the line length is known.
+	for _, b := range spec.Buses {
+		if b.Attack != nil {
+			if err := b.Attack.checkPosition(cfg.Line.Length); err != nil {
+				return nil, fmt.Errorf("bus %q: %w", b.ID, err)
+			}
+		}
+	}
 	sys := divot.NewSystem(spec.Seed, cfg)
 
 	d := &Daemon{

@@ -97,8 +97,30 @@ type AttackSpec struct {
 	// monitoring rounds.
 	AfterRounds uint64 `json:"after_rounds"`
 	// Position is the attack location in meters from the CPU end (ignored
-	// by module-swap).
+	// by module-swap). An interposer cuts the line, so it needs
+	// 0 < position < line length; a wiretap, probe or adaptive-tap may sit
+	// anywhere on the line, 0 ≤ position ≤ line length. Validate only knows
+	// position ≥ 0; the daemon checks the upper bound against its line
+	// configuration when it builds the fleet.
 	Position float64 `json:"position"`
+}
+
+// checkPosition rejects an attack position the scripted attack cannot be
+// mounted at on a line of the given length.
+func (a *AttackSpec) checkPosition(length float64) error {
+	switch a.Kind {
+	case "interposer":
+		if !(a.Position > 0 && a.Position < length) {
+			return fmt.Errorf("interposer position must be strictly inside the %g m line (0 < position < %g), got %g",
+				length, length, a.Position)
+		}
+	case "wiretap", "probe", "adaptive-tap":
+		if !(a.Position >= 0 && a.Position <= length) {
+			return fmt.Errorf("%s position must lie on the %g m line (0 <= position <= %g), got %g",
+				a.Kind, length, length, a.Position)
+		}
+	}
+	return nil
 }
 
 // attackKinds are the accepted AttackSpec.Kind values.

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"divot"
+	"divot/internal/store"
 )
 
 func TestLoadSpecRejectsBadSpecs(t *testing.T) {
@@ -150,4 +151,58 @@ func (b *syncBuffer) String() string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.buf.String()
+}
+
+// TestAttackPositionBounds: a scripted attack's position is checked against
+// the line length when the fleet is built, so an attack that could not be
+// mounted is refused with an error naming the bus instead of panicking the
+// scheduler when it mounts. Every accepted spec must then mount cleanly.
+func TestAttackPositionBounds(t *testing.T) {
+	cfg := lightConfig()
+	length := cfg.Line.Length
+	positions := []struct {
+		name string
+		pos  float64
+	}{
+		{"zero", 0},
+		{"mid", length / 2},
+		{"length", length},
+		{"beyond", 4 * length},
+	}
+	accept := map[string]map[string]bool{
+		"interposer":   {"mid": true},
+		"wiretap":      {"zero": true, "mid": true, "length": true},
+		"probe":        {"zero": true, "mid": true, "length": true},
+		"adaptive-tap": {"zero": true, "mid": true, "length": true},
+		"module-swap":  {"zero": true, "mid": true, "length": true, "beyond": true},
+	}
+	for kind, ok := range accept {
+		for _, p := range positions {
+			t.Run(kind+"/"+p.name, func(t *testing.T) {
+				spec := benchSpec(1, 0)
+				spec.Buses[0].Attack = &AttackSpec{Kind: kind, Position: p.pos}
+				if err := spec.Validate(); err != nil {
+					t.Fatalf("Validate: %v", err)
+				}
+				d, err := NewWithStore(spec, cfg, store.NewMemory())
+				if !ok[p.name] {
+					if err == nil {
+						t.Fatalf("%s at %g m on a %g m line was accepted", kind, p.pos, length)
+					}
+					if !strings.Contains(err.Error(), spec.Buses[0].ID) {
+						t.Errorf("error %q does not name the bus", err)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatalf("%s at %g m refused: %v", kind, p.pos, err)
+				}
+				d.monitorOnce(d.links[0]) // mounts the attack
+				d.monitorOnce(d.links[0]) // and steps an adaptive one
+				if !d.links[0].attacked {
+					t.Error("attack did not mount")
+				}
+			})
+		}
+	}
 }
