@@ -2,8 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"testing"
+
+	"divot/internal/attest"
 )
 
 // FuzzDecodeFrame is the CI fuzz target for the binary stream decoder (the
@@ -21,6 +24,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	for _, ev := range sampleEvents() {
 		f.Add(AppendEventFrame(nil, ev))
 	}
+	f.Add(AppendEventFrame(nil, attest.Event{Seq: 4, Kind: "health", Link: "a", Score: math.NaN()}))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, Version, byte(FrameEvent)}) // hostile length
 	f.Add([]byte{0, 0, 0, 2, Version + 7, byte(FrameEvent)})         // future version
 
@@ -47,6 +51,11 @@ func FuzzDecodeFrame(f *testing.F) {
 		ev2, err := DecodeEvent(payload2)
 		if err != nil {
 			t.Fatalf("re-encoded event failed to decode: %v", err)
+		}
+		// The score travels as raw IEEE bits, so a NaN score comes back bit
+		// for bit; NaN != NaN would defeat DeepEqual, so compare it by bits.
+		if math.IsNaN(ev.Score) && math.Float64bits(ev.Score) == math.Float64bits(ev2.Score) {
+			ev.Score, ev2.Score = 0, 0
 		}
 		if !reflect.DeepEqual(ev, ev2) {
 			t.Fatalf("event not canonical: %+v re-encoded to %+v", ev, ev2)
