@@ -352,6 +352,11 @@ if [ "$audit_before" -lt 1 ]; then
   exit 1
 fi
 
+# The served history runs ahead of the WAL by up to one flush interval
+# (appends are buffered until the 1s sync), so crash only after a flush has
+# covered every sample counted above; the samples of the crash's last
+# second are not promised durable.
+sleep 1.5
 kill -9 "$pid5"
 wait "$pid5" 2>/dev/null || true
 
