@@ -305,13 +305,14 @@ type Link struct {
 	sys *System
 }
 
-// Authenticate runs a single measurement round and reports whether the
-// CPU-side view of the bus is clean, without touching gates or alert state —
-// a read-only spot check (core.Link.SpotCheck). A swapped same-model module
-// may keep the bus-wide similarity high while showing a localized error peak
-// at the load (Fig. 9b/c), so both an authentication mismatch and a tamper
-// signature count as rejection. An uncalibrated or enrollment-less link is
-// simply not accepted.
+// Authenticate takes one CPU-side capture and reports whether the CPU-side
+// view of the bus is clean, without touching gates or alert state — a
+// read-only spot check (core.Link.SpotCheck) that leaves the module endpoint
+// unmeasured. A swapped same-model module may keep the bus-wide similarity
+// high while showing a localized error peak at the load (Fig. 9b/c), so both
+// an authentication mismatch and a tamper signature count as rejection. An
+// uncalibrated link, or one whose CPU or module enrollment is lost, is simply
+// not accepted.
 func (l *Link) Authenticate() AuthResult {
 	alerts, err := l.SpotCheck()
 	if err != nil {
@@ -319,9 +320,6 @@ func (l *Link) Authenticate() AuthResult {
 	}
 	res := AuthResult{Accepted: true, Score: 1}
 	for _, a := range alerts {
-		if a.Side != core.SideCPU {
-			continue
-		}
 		res.Accepted = false
 		switch a.Kind {
 		case core.AlertAuthFailure:

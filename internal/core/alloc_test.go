@@ -49,6 +49,37 @@ func TestMonitorOnceAllocationBudget(t *testing.T) {
 	}
 }
 
+// TestSpotCheckAllocationBudget pins the read-only spot check, the
+// measurement behind every uncached attestation, at zero allocations: after
+// calibration and a warmup check at Parallelism 1, a clean SpotCheck reuses
+// the CPU endpoint's arena and workspace and returns a nil alert slice.
+func TestSpotCheckAllocationBudget(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Parallelism = 1
+	l, err := NewLink("alloc0", cfg, txline.DefaultConfig(), rng.New(99))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Calibrate(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.SpotCheck(); err != nil { // warm the arena and workspace
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		alerts, err := l.SpotCheck()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(alerts) != 0 {
+			t.Fatalf("clean link raised %d alerts", len(alerts))
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("SpotCheck allocates %v times per check, want 0", allocs)
+	}
+}
+
 // calibCaptureAllocBudget is the allocation ceiling per enrollment capture
 // of a warm re-calibration at Parallelism 1: the ISSUE-10 target of ≤4
 // allocs per IIPMeasurement-equivalent capture on the arena/series path

@@ -483,34 +483,44 @@ func (l *Link) MonitorNCtx(ctx context.Context, n int) ([]Alert, error) {
 	return all, nil
 }
 
-// SpotCheck runs one read-only measurement round at both endpoints against
-// the enrolled fingerprints: no gates move, no alerts are recorded, no
-// confirmation retries run, and no robustness state advances — only the
-// measurements are consumed. The facade's Authenticate builds on this.
+// SpotCheck runs one read-only measurement at the CPU endpoint against its
+// enrolled fingerprint: no gates move, no alerts are recorded, no
+// confirmation retries run, and no robustness state advances — only the CPU
+// instrument's measurement is consumed. Every alert it returns is SideCPU.
+// Both enrollments are still required: a link whose module endpoint has lost
+// its fingerprint fails with ErrEnrollmentLost even though the module is not
+// measured. The facade's Authenticate builds on this.
 func (l *Link) SpotCheck() ([]Alert, error) {
 	if !l.calibrated {
 		return nil, fmt.Errorf("link %q: %w", l.ID, ErrNotCalibrated)
 	}
+	e := l.CPU
+	enrolled, ok := e.store.Lookup(enrollKey)
+	if !ok {
+		return nil, l.enrollmentLost(e)
+	}
+	if _, ok := l.Module.store.Lookup(enrollKey); !ok {
+		return nil, l.enrollmentLost(l.Module)
+	}
 	var raised []Alert
-	for _, e := range []*Endpoint{l.CPU, l.Module} {
-		enrolled, ok := e.store.Lookup(enrollKey)
-		if !ok {
-			return raised, fmt.Errorf("%s endpoint of link %q: %w", e.Side, l.ID, ErrEnrollmentLost)
-		}
-		meas := e.refl.MeasureInto(e.arena, e.observed, l.Env)
-		f := e.pipeline.FromWaveformMaskedWith(&e.ws, meas.IIP, e.mask)
-		scoring := e.mask.Dilate(l.cfg.Robust.MaskGuard)
-		if auth := e.matcher.AuthenticateMasked(f, enrolled, scoring); !auth.Accepted {
-			raised = append(raised, Alert{Side: e.Side, Kind: AlertAuthFailure, Score: auth.Score})
-		}
-		if v := e.detector.CheckMaskedWith(&e.ws, f, enrolled, scoring); v.Tampered {
-			raised = append(raised, Alert{
-				Side: e.Side, Kind: AlertTamper,
-				PeakError: v.PeakError, Position: v.Position,
-			})
-		}
+	meas := e.refl.MeasureInto(e.arena, e.observed, l.Env)
+	f := e.pipeline.FromWaveformMaskedWith(&e.ws, meas.IIP, e.mask)
+	scoring := e.mask.Dilate(l.cfg.Robust.MaskGuard)
+	if auth := e.matcher.AuthenticateMasked(f, enrolled, scoring); !auth.Accepted {
+		raised = append(raised, Alert{Side: e.Side, Kind: AlertAuthFailure, Score: auth.Score})
+	}
+	if v := e.detector.CheckMaskedWith(&e.ws, f, enrolled, scoring); v.Tampered {
+		raised = append(raised, Alert{
+			Side: e.Side, Kind: AlertTamper,
+			PeakError: v.PeakError, Position: v.Position,
+		})
 	}
 	return raised, nil
+}
+
+// enrollmentLost is the wrapped ErrEnrollmentLost for endpoint e of the link.
+func (l *Link) enrollmentLost(e *Endpoint) error {
+	return fmt.Errorf("%s endpoint of link %q: %w", e.Side, l.ID, ErrEnrollmentLost)
 }
 
 // MeasurementDuration returns the wall-clock time one monitoring round takes

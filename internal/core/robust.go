@@ -188,7 +188,7 @@ func (l *Link) observe(e *Endpoint, enrolled fingerprint.IIP) roundView {
 func (l *Link) monitorEndpoint(e *Endpoint) ([]Alert, error) {
 	enrolled, ok := e.store.Lookup(enrollKey)
 	if !ok {
-		return nil, fmt.Errorf("%s endpoint of link %q: %w", e.Side, l.ID, ErrEnrollmentLost)
+		return nil, l.enrollmentLost(e)
 	}
 	rob := l.cfg.Robust
 
