@@ -432,7 +432,7 @@ func (d *Daemon) monitorOnce(ls *linkState) {
 			// The round just measured both endpoints, so its verdict is a
 			// free attestation view: cache it (after the reactor ran, so
 			// any invalidation it triggered has already landed).
-			ls.refreshCache(reportFromRound(ls, alerts), healthView(ls))
+			ls.refreshCache(reportFromRound(ls, alerts, h), healthView(h))
 		}
 	}
 	// Persist the bus's snapshot when this round changed durable state
@@ -444,13 +444,14 @@ func (d *Daemon) monitorOnce(ls *linkState) {
 	ls.rounds.Add(1)
 }
 
-// reportFromRound condenses one monitoring round into the attestation view
-// a spot check would produce, with the same CPU-side acceptance rule as
+// reportFromRound condenses one monitoring round, whose alerts and
+// post-round health h the caller already holds, into the attestation view a
+// spot check would produce: only CPU-side alerts count, the same rule as
 // Link.Authenticate. Caller holds ls.mu.
-func reportFromRound(ls *linkState, alerts []divot.Alert) attest.AuthReport {
+func reportFromRound(ls *linkState, alerts []divot.Alert, h divot.LinkHealth) attest.AuthReport {
 	rep := attest.AuthReport{
 		ID: ls.id, Accepted: true, Score: 1,
-		Health: ls.link.Health().State().String(),
+		Health: h.State().String(),
 	}
 	for _, a := range alerts {
 		if a.Side != divot.SideCPU {
@@ -468,9 +469,10 @@ func reportFromRound(ls *linkState, alerts []divot.Alert) attest.AuthReport {
 	return rep
 }
 
-// healthView snapshots one bus's /v1/health entry. Caller holds ls.mu.
-func healthView(ls *linkState) attest.LinkHealthView {
-	return attest.LinkHealthViews([]divot.LinkHealth{ls.link.Health()})[0]
+// healthView renders one bus's /v1/health entry from its health snapshot
+// (taken under ls.mu).
+func healthView(h divot.LinkHealth) attest.LinkHealthView {
+	return attest.LinkHealthViews([]divot.LinkHealth{h})[0]
 }
 
 // period draws the next jittered interval for a bus.

@@ -129,7 +129,7 @@ func (d *Daemon) handleFleetHealth(w http.ResponseWriter, _ *http.Request) {
 			_, hv, ok := ls.cached(d.maxStale)
 			if !ok {
 				ls.mu.Lock()
-				hv = healthView(ls)
+				hv = healthView(ls.link.Health())
 				ls.mu.Unlock()
 			}
 			views = append(views, hv)
@@ -201,18 +201,18 @@ func (d *Daemon) attestOne(ls *linkState) attest.AuthReport {
 	d.cacheMiss.With(ls.id).Inc()
 	ls.mu.Lock()
 	res := ls.link.Authenticate()
+	h := ls.link.Health()
+	ls.mu.Unlock()
 	rep := attest.AuthReport{
 		ID:             ls.id,
 		Accepted:       res.Accepted,
 		Score:          res.Score,
 		Tampered:       res.Tampered,
 		TamperPosition: res.TamperPosition,
-		Health:         ls.link.Health().State().String(),
+		Health:         h.State().String(),
 	}
-	hv := healthView(ls)
-	ls.mu.Unlock()
 	if d.maxStale > 0 {
-		ls.refreshCache(rep, hv)
+		ls.refreshCache(rep, healthView(h))
 	}
 	return rep
 }
