@@ -33,10 +33,11 @@ build:
 test: build
 	$(GO) test ./...
 
-## race: run the internal suites (core, exper, itdr, ...), the daemon /
-## scheduler paths, and the client SDK under the race detector
+## race: run the facade (whose Authenticate serves every attestation), the
+## internal suites (core, exper, itdr, ...), the daemon / scheduler paths, and
+## the client SDK under the race detector
 race:
-	$(GO) test -race ./internal/... ./cmd/... ./client/...
+	$(GO) test -race . ./internal/... ./cmd/... ./client/...
 
 ## bench: run every benchmark once (experiment tables + hot-path micros);
 ## -short keeps the 1000-bus fleet sweep and the big federation rows out of
@@ -62,7 +63,7 @@ bench-guard:
 ## calibrate 100k buses first, so this runs for tens of minutes) as
 ## machine-readable JSON (BENCH_$(PR).json) for cross-PR diffing
 bench-snapshot:
-	{ $(GO) test -short . ./internal/daemon -run XXX -bench 'IIPMeasurement|ReflectionSynthesis|Similarity|ErrorFunction|MonitorRound|MonitorAll|ClientRoundTrip|FleetScheduler|Attest$$|FleetHealth|DaemonStartup|Calibrate$$' -benchtime 20x -benchmem -cpu 1 ; \
+	{ $(GO) test -short . ./internal/daemon -run XXX -bench 'IIPMeasurement|ReflectionSynthesis|Similarity|ErrorFunction|MonitorRound|MonitorAll|Authenticate$$|ClientRoundTrip|FleetScheduler|Attest$$|FleetHealth|DaemonStartup|Calibrate$$' -benchtime 20x -benchmem -cpu 1 ; \
 	  $(GO) test ./internal/daemon -run XXX -bench 'FleetColdStart' -benchtime 1x -benchmem -cpu 1 -timeout 30m ; \
 	  $(GO) test ./internal/daemon -run XXX -bench 'EventFanout' -benchmem -cpu 1 ; \
 	  $(GO) test ./cmd/divotherd -run XXX -bench 'FederatedAttest' -benchtime 1x -benchmem -cpu 1 -timeout 90m ; } \

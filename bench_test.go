@@ -207,6 +207,30 @@ func BenchmarkMonitorRound(b *testing.B) {
 	}
 }
 
+// BenchmarkAuthenticate times one read-only spot check of a calibrated link
+// at the default configuration — the measurement behind every uncached
+// attestation. A clean bus has a small false-reject rate at the default
+// threshold, so rejections are reported as a metric, not treated as errors.
+func BenchmarkAuthenticate(b *testing.B) {
+	sys := divot.NewSystem(7, divot.DefaultConfig())
+	l, err := sys.NewLink("bus0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := l.Calibrate(); err != nil {
+		b.Fatal(err)
+	}
+	rejected := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !l.Authenticate().Accepted {
+			rejected++
+		}
+	}
+	b.ReportMetric(float64(rejected)/float64(b.N), "rejected/op")
+}
+
 // BenchmarkMonitorRoundTelemetry measures the telemetry tax on the
 // steady-state monitoring round: the same clean link with no sink attached
 // versus a fully subscribed pipeline (metrics sink + event bus with a live
