@@ -17,39 +17,31 @@ import (
 // could see — raises none.
 func TestSpotCheckAlertsAreCPUSide(t *testing.T) {
 	l := calibrated(t, 4)
+	spot := func(checks int) (raised int) {
+		for range checks {
+			alerts, err := l.SpotCheck()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, a := range alerts {
+				if a.Side != SideCPU {
+					t.Fatalf("spot check returned a %s-side alert: %v", a.Side, a)
+				}
+			}
+			raised += len(alerts)
+		}
+		return raised
+	}
 	swap := attack.NewModuleSwap(txline.DefaultConfig(), rng.New(5))
 	swap.Apply(l.Line)
-	var raised int
-	for range 5 {
-		alerts, err := l.SpotCheck()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, a := range alerts {
-			if a.Side != SideCPU {
-				t.Fatalf("spot check returned a %s-side alert: %v", a.Side, a)
-			}
-		}
-		raised += len(alerts)
-	}
-	if raised == 0 {
+	if spot(5) == 0 {
 		t.Fatal("swapped module raised no CPU-side alert in 5 spot checks")
 	}
 	swap.Remove(l.Line)
 
 	cb := attack.NewColdBootSwap(txline.DefaultConfig(), rng.New(7))
 	l.Module.SetObservedLine(cb.BusSeenByModule())
-	for range 5 {
-		alerts, err := l.SpotCheck()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, a := range alerts {
-			if a.Side != SideCPU {
-				t.Fatalf("spot check returned a %s-side alert: %v", a.Side, a)
-			}
-		}
-	}
+	spot(5)
 }
 
 // TestSpotCheckRequiresBothEnrollments checks that losing either endpoint's

@@ -13,8 +13,8 @@ import (
 // spotCheckCleanCalls spot checks on a clean link of a seed-77 default system
 // followed by spotCheckSwapCalls on a module-swapped link of the same system.
 // It pins the CPU-side verdict sequence a caller of Authenticate observes,
-// including the clean bus's rare legitimate false rejections (the first at
-// call 1534, so inside the pinned window).
+// including the clean bus's rare legitimate false rejections (the first is
+// the 1535th call, inside the pinned window).
 const spotCheckVerdictPin = "9a1297179093cd076fd37c2685e460d82dd4183df91a212cbf372e31d59eea71"
 
 const (
