@@ -2,10 +2,10 @@ GO ?= go
 PR ?= 10
 
 # MONITOR_ALLOC_BUDGET is the allocs/op ceiling for the steady-state
-# monitoring round benchmark (BenchmarkMonitorRound runs at the default
-# parallelism, so worker-pool goroutine spawns dominate; the tighter ≤2
-# sequential budget is enforced by TestMonitorOnceAllocationBudget).
-MONITOR_ALLOC_BUDGET ?= 64
+# monitoring round benchmark. A capture runs on one goroutine, so the round
+# allocates nothing at any parallelism; the budget matches the ≤2 of
+# TestMonitorOnceAllocationBudget and leaves room for runtime noise only.
+MONITOR_ALLOC_BUDGET ?= 2
 
 # CALIB_ALLOC_BUDGET is the allocs/op ceiling for a warm cold-enrollment
 # (BenchmarkCalibrate re-calibrates a standing link on the arena path; the
@@ -49,8 +49,8 @@ bench:
 ## past the recorded snapshot — benchsnap -max-allocs checks the monitoring
 ## round and warm re-calibration against their budgets, and -compare diffs
 ## both against BENCH_$(PR).json with a $(BENCH_MAX_REGRESS)% ceiling. The
-## snapshot was recorded at one proc and the worker-pool allocations scale
-## with GOMAXPROCS, so both targets pin -cpu 1
+## snapshot was recorded at one proc, so both targets pin -cpu 1 to keep
+## ns/op comparable with it
 bench-guard:
 	$(GO) test . -run XXX -bench 'MonitorRound$$|Calibrate$$' -benchtime 20x -benchmem -cpu 1 \
 		| $(GO) run ./cmd/benchsnap \

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"divot/internal/rng"
@@ -8,7 +10,7 @@ import (
 )
 
 // monitorAllocBudget is the steady-state allocation ceiling of one healthy
-// MonitorOnce round at Parallelism 1. The measurement, scoring, and
+// MonitorOnce round at any Parallelism. The measurement, scoring, and
 // robustness layers all recycle per-endpoint memory (arena, workspace,
 // score window), so nothing in the hot path should touch the heap; the
 // budget of 2 leaves headroom for runtime-internal noise only. Raising it
@@ -19,65 +21,96 @@ const monitorAllocBudget = 2
 // TestMonitorOnceAllocationBudget pins the allocation cost of the healthy
 // monitoring hot path: after calibration and a warmup round (arena buffers
 // sized, inverters promoted, score window filling), a MonitorOnce round
-// must stay within monitorAllocBudget allocations.
+// must stay within monitorAllocBudget allocations, sequential and at the
+// default Parallelism.
 func TestMonitorOnceAllocationBudget(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Parallelism = 1
-	l, err := NewLink("alloc0", cfg, txline.DefaultConfig(), rng.New(99))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Calibrate(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ { // warm arenas, workspaces, and the score window
-		if _, err := l.MonitorOnce(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		alerts, err := l.MonitorOnce()
+	forEachParallelism(t, func(t *testing.T, cfg Config) {
+		l, err := NewLink("alloc0", cfg, txline.DefaultConfig(), rng.New(99))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(alerts) != 0 {
-			t.Fatalf("clean link raised %d alerts", len(alerts))
+		if err := l.Calibrate(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ { // warm arenas, workspaces, and the score window
+			if _, err := l.MonitorOnce(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := allocsPerRun(10, func() {
+			alerts, err := l.MonitorOnce()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(alerts) != 0 {
+				t.Fatalf("clean link raised %d alerts", len(alerts))
+			}
+		})
+		if allocs > monitorAllocBudget {
+			t.Fatalf("MonitorOnce allocates %v times per round, budget %d", allocs, monitorAllocBudget)
 		}
 	})
-	if allocs > monitorAllocBudget {
-		t.Fatalf("MonitorOnce allocates %v times per round, budget %d", allocs, monitorAllocBudget)
+}
+
+// forEachParallelism runs body under two procs at Parallelism 1 and at the
+// default Parallelism 0, which resolves to both procs: a capture that
+// fanned out over goroutines would allocate in the second arm only.
+func forEachParallelism(t *testing.T, body func(t *testing.T, cfg Config)) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for _, par := range []int{1, 0} {
+		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Parallelism = par
+			body(t, cfg)
+		})
 	}
 }
 
 // TestSpotCheckAllocationBudget pins the read-only spot check, the
 // measurement behind every uncached attestation, at zero allocations: after
-// calibration and a warmup check at Parallelism 1, a clean SpotCheck reuses
-// the CPU endpoint's arena and workspace and returns a nil alert slice.
+// calibration and a warmup check, a clean SpotCheck reuses the CPU
+// endpoint's arena and workspace and returns a nil alert slice, sequential
+// and at the default Parallelism.
 func TestSpotCheckAllocationBudget(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Parallelism = 1
-	l, err := NewLink("alloc0", cfg, txline.DefaultConfig(), rng.New(99))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Calibrate(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.SpotCheck(); err != nil { // warm the arena and workspace
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		alerts, err := l.SpotCheck()
+	forEachParallelism(t, func(t *testing.T, cfg Config) {
+		l, err := NewLink("alloc0", cfg, txline.DefaultConfig(), rng.New(99))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(alerts) != 0 {
-			t.Fatalf("clean link raised %d alerts", len(alerts))
+		if err := l.Calibrate(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.SpotCheck(); err != nil { // warm the arena and workspace
+			t.Fatal(err)
+		}
+		allocs := allocsPerRun(10, func() {
+			alerts, err := l.SpotCheck()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(alerts) != 0 {
+				t.Fatalf("clean link raised %d alerts", len(alerts))
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("SpotCheck allocates %v times per check, want 0", allocs)
 		}
 	})
-	if allocs != 0 {
-		t.Fatalf("SpotCheck allocates %v times per check, want 0", allocs)
+}
+
+// allocsPerRun is testing.AllocsPerRun without its GOMAXPROCS(1) pin, which
+// would hide any goroutine fan-out inside f: it warms f once, then counts
+// the mallocs of runs further calls at the current GOMAXPROCS, truncating
+// the average as AllocsPerRun does.
+func allocsPerRun(runs int, f func()) float64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
 	}
+	runtime.ReadMemStats(&after)
+	return float64((after.Mallocs - before.Mallocs) / uint64(runs))
 }
 
 // calibCaptureAllocBudget is the allocation ceiling per enrollment capture

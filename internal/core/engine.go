@@ -123,12 +123,11 @@ type Config struct {
 	// calibration.
 	EnrollMeasurements int
 	// Parallelism bounds the worker goroutines of every concurrent
-	// operation this engine owns: the ETS-bin fan-out inside one
-	// measurement (threaded into ITDR.Parallelism unless that is set
-	// explicitly), the wire fan-out of MultiLink rounds, and the link
-	// fan-out of MonitorAll. 0 (the default) selects
-	// runtime.GOMAXPROCS(0); 1 runs everything inline. Results are
-	// bit-identical at every setting.
+	// operation this engine owns: the capture fan-out of an enrollment
+	// series, the wire fan-out of MultiLink rounds, and the link fan-out of
+	// MonitorAll. A single capture always runs on the goroutine that asked
+	// for it. 0 (the default) selects runtime.GOMAXPROCS(0); 1 runs
+	// everything inline. Results are bit-identical at every setting.
 	Parallelism int
 	// Robust tunes the fault-tolerant monitoring protocol: confirm-on-
 	// suspect retries, dead-bin masking, and drift-guarded re-enrollment.
@@ -257,11 +256,6 @@ func NewLink(id string, cfg Config, lineCfg txline.Config, stream *rng.Stream) (
 
 // NewLinkOver builds a protected link over an existing line.
 func NewLinkOver(id string, cfg Config, line *txline.Line, stream *rng.Stream) (*Link, error) {
-	// One knob drives every layer: the engine's Parallelism reaches the
-	// instrument's bin fan-out unless the iTDR config sets its own.
-	if cfg.ITDR.Parallelism == 0 {
-		cfg.ITDR.Parallelism = cfg.Parallelism
-	}
 	mk := func(side Side, label string) (*Endpoint, error) {
 		r, err := itdr.New(cfg.ITDR, cfg.Probe, nil, stream.Child(label))
 		if err != nil {

@@ -64,8 +64,8 @@ func NewMultiLink(id string, cfg Config, lineCfg txline.Config, n int, stream *r
 // lines and instruments, so enrollment fans out across the engine's
 // Parallelism workers with results identical to enrolling in order. The
 // worker budget splits two-level — across wires first, leftover workers
-// handed to each wire's intra-link measurement fan-out — so a wide bus and a
-// narrow one both saturate the same core budget without oversubscribing.
+// handed to each wire's enrollment series — so a wide bus and a narrow one
+// both saturate the same core budget without oversubscribing.
 func (m *MultiLink) Calibrate() error {
 	errs := make([]error, len(m.Wires))
 	recs, orig := m.maybeSwapRecorders()

@@ -17,14 +17,15 @@ type Spec struct {
 	// reproducible.
 	Seed uint64 `json:"seed"`
 	// Parallelism is the engine's worker bound (divot.Config.Engine
-	// .Parallelism): 0 = one worker per CPU, 1 = sequential.
+	// .Parallelism) over links, wires and enrollment captures; one capture
+	// always runs on one goroutine. 0 = one worker per CPU, 1 = sequential.
 	Parallelism int `json:"parallelism"`
 	// CalibParallelism bounds the workers used for cold enrollment only: the
 	// budget splits two-level, across links first and leftover workers into
-	// each link's intra-link measurement fan-out, so both a wide fleet and a
-	// single slow link saturate the same cores. Enrollment results are
-	// bit-identical at every worker count (the snapshot hash does not depend
-	// on it). 0 (the default) inherits Parallelism — which itself defaults
+	// each link's enrollment series (its captures run concurrently), so both
+	// a wide fleet and a single slow link saturate the same cores.
+	// Enrollment results are bit-identical at every worker count (the
+	// snapshot hash does not depend on it). 0 (the default) inherits Parallelism — which itself defaults
 	// to one worker per CPU; 1 = fully sequential calibration.
 	CalibParallelism int `json:"calib_parallelism"`
 	// Listen is the HTTP API address; default "127.0.0.1:9720".

@@ -52,15 +52,14 @@ type histRecord struct {
 }
 
 // computeSpecHash fingerprints everything that shapes enrollment: the fleet
-// seed plus the engine and line configuration. Parallelism knobs are zeroed
-// first — results are bit-identical at every worker count, so changing
-// workers must not invalidate a fleet's snapshots. Scheduling fields
+// seed plus the engine and line configuration. The engine's Parallelism is
+// zeroed first — results are bit-identical at every worker count, so
+// changing workers must not invalidate a fleet's snapshots. Scheduling fields
 // (intervals, jitter, listen address, attack scripts, audit paths) do not
 // participate either: they change when rounds run, not what a fingerprint
 // looks like.
 func computeSpecHash(seed uint64, cfg divot.Config) (string, error) {
 	cfg.Engine.Parallelism = 0
-	cfg.Engine.ITDR.Parallelism = 0
 	raw, err := json.Marshal(struct {
 		Seed   uint64       `json:"seed"`
 		Config divot.Config `json:"config"`
@@ -94,10 +93,9 @@ func (d *Daemon) warmup() error {
 	}
 	// The calibration budget (spec calib_parallelism, inheriting the engine
 	// Parallelism when 0) splits two-level: across links first, leftover
-	// workers handed to each link's intra-link measurement fan-out. A large
-	// fleet runs one link per worker; a small fleet pushes the spare workers
-	// inside each link's enrollment series. Both levels are bit-identical at
-	// any worker count.
+	// workers handed to each link's enrollment series. A large fleet runs
+	// one link per worker; a small fleet spreads each link's captures over
+	// the spare workers. Both levels are bit-identical at any worker count.
 	effective := d.spec.CalibParallelism
 	if effective == 0 {
 		effective = d.sys.Config().Engine.Parallelism

@@ -217,7 +217,6 @@ func TestSpecHashIgnoresParallelism(t *testing.T) {
 	cfg1 := lightConfig()
 	cfg2 := lightConfig()
 	cfg2.Engine.Parallelism = 8
-	cfg2.Engine.ITDR.Parallelism = 4
 	h1, err := computeSpecHash(7, cfg1)
 	if err != nil {
 		t.Fatal(err)

@@ -19,11 +19,11 @@ import (
 )
 
 // Parallelism bounds the worker goroutines the fleet operations below
-// (construction, enrollment, scoring) fan rigs across, and is threaded into
-// every rig's iTDR so ETS bins fan out too. 0 (the default) selects
+// (construction, enrollment, scoring) fan rigs across; each rig's captures
+// run on the goroutine that handles the rig. 0 (the default) selects
 // runtime.GOMAXPROCS(0); 1 reproduces the fully sequential path. Experiment
-// results are bit-identical at every setting — each rig and each bin derives
-// its randomness from its own labelled stream child — so this knob trades
+// results are bit-identical at every setting — each rig derives its
+// randomness from its own labelled stream child — so this knob trades
 // wall-clock only, never output.
 var Parallelism int
 
@@ -161,9 +161,6 @@ func (r *rig) enroll(env txline.Environment, n int) {
 // from the stream and the rig's label (never from construction order), so the
 // rigs are manufactured concurrently across Parallelism workers.
 func fleet(icfg itdr.Config, lcfg txline.Config, stream *rng.Stream, n int) []*rig {
-	if icfg.Parallelism == 0 {
-		icfg.Parallelism = Parallelism
-	}
 	rigs := make([]*rig, n)
 	pool.Run(n, pool.Workers(Parallelism), func(_, i int) {
 		rigs[i] = newRig(fmt.Sprintf("tx%d", i), icfg, lcfg, stream)

@@ -90,7 +90,6 @@ func (c Config) totalRounds() int { return c.PreRounds + c.PostRounds }
 func (c Config) engineConfig(cell Cell) core.Config {
 	ecfg := core.DefaultConfig()
 	ecfg.Parallelism = 1
-	ecfg.ITDR.Parallelism = 1
 	ecfg.ITDR.ComparatorNoise *= cell.NoiseScale
 	if c.Detector.AuthThreshold > 0 {
 		ecfg.AuthThreshold = c.Detector.AuthThreshold

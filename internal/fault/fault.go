@@ -247,8 +247,7 @@ func EMIGlitch(amplitude float64, sch Schedule) Fault {
 
 // Plane is a set of faults attached to one instrument. It implements
 // itdr.Injector. A plane must not be shared between instruments that measure
-// concurrently (each endpoint gets its own plane); within one instrument the
-// Bin closure it hands out is safe for the concurrent bin fan-out.
+// concurrently (each endpoint gets its own plane).
 type Plane struct {
 	faults  []Fault
 	streams []*rng.Stream
@@ -384,8 +383,7 @@ func (p *Plane) BeginMeasurement(seq uint64) (itdr.MeasurementFault, bool) {
 
 // binFault builds the per-bin fault closure for the given active fault
 // indices at measurement seq. All randomness inside is keyed by (fault, bin,
-// seq) identity, so the closure is a pure function of m and safe for the
-// concurrent bin fan-out.
+// seq) identity, so the closure is a pure function of m.
 func (p *Plane) binFault(idx []int, seq uint64) func(m int) itdr.BinFault {
 	type binSrc struct {
 		kind Kind

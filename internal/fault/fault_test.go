@@ -12,13 +12,11 @@ import (
 
 // rig builds a line and an instrument from one seed, with an optional plane
 // attached.
-func rig(t *testing.T, seed uint64, parallelism int, faults ...Fault) (*txline.Line, *itdr.Reflectometer, *Plane) {
+func rig(t *testing.T, seed uint64, faults ...Fault) (*txline.Line, *itdr.Reflectometer, *Plane) {
 	t.Helper()
 	stream := rng.New(seed)
-	cfg := itdr.DefaultConfig()
-	cfg.Parallelism = parallelism
 	line := txline.New("L", txline.DefaultConfig(), stream.Child("line"))
-	r, err := itdr.New(cfg, txline.DefaultProbe(), nil, stream.Child("itdr"))
+	r, err := itdr.New(itdr.DefaultConfig(), txline.DefaultProbe(), nil, stream.Child("itdr"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +82,8 @@ func TestScheduleModes(t *testing.T) {
 // faults never fire leaves every measurement bit-identical to an instrument
 // without the hook.
 func TestHealthyPathUnchanged(t *testing.T) {
-	lineA, rA, _ := rig(t, 7, 1)
-	lineB, rB, _ := rig(t, 7, 1, StuckComparator(true, Once(1_000_000)))
+	lineA, rA, _ := rig(t, 7)
+	lineB, rB, _ := rig(t, 7, StuckComparator(true, Once(1_000_000)))
 	for i := 0; i < 3; i++ {
 		ma := rA.Measure(lineA, env())
 		mb := rB.Measure(lineB, env())
@@ -98,7 +96,7 @@ func TestHealthyPathUnchanged(t *testing.T) {
 }
 
 // TestFaultDeterminism pins bit-reproducibility: the same seed yields the
-// same faulted measurements, at any parallelism.
+// same faulted measurements.
 func TestFaultDeterminism(t *testing.T) {
 	faults := []Fault{
 		OffsetStep(0.2e-3, 10e-6, From(2)),
@@ -106,14 +104,14 @@ func TestFaultDeterminism(t *testing.T) {
 		CounterUpset(3, 0.3, Duty(1, 0.5)),
 		EMIGlitch(0.02, Duty(1, 0.3)),
 	}
-	lineA, rA, pA := rig(t, 11, 1, faults...)
-	lineB, rB, pB := rig(t, 11, 4, faults...)
+	lineA, rA, pA := rig(t, 11, faults...)
+	lineB, rB, pB := rig(t, 11, faults...)
 	for i := 0; i < 4; i++ {
 		ma := rA.Measure(lineA, env())
 		mb := rB.Measure(lineB, env())
 		for j := range ma.IIP.Samples {
 			if ma.IIP.Samples[j] != mb.IIP.Samples[j] {
-				t.Fatalf("measurement %d bin %d: %v != %v (parallelism 1 vs 4)",
+				t.Fatalf("measurement %d bin %d: %v != %v",
 					i, j, ma.IIP.Samples[j], mb.IIP.Samples[j])
 			}
 			if ma.Saturated[j] != mb.Saturated[j] {
@@ -130,7 +128,7 @@ func TestFaultDeterminism(t *testing.T) {
 }
 
 func TestStuckComparatorSaturatesEverything(t *testing.T) {
-	line, r, _ := rig(t, 3, 0, StuckComparator(true, Once(2)))
+	line, r, _ := rig(t, 3, StuckComparator(true, Once(2)))
 	clean := r.Measure(line, env())
 	stuck := r.Measure(line, env())
 	for m, s := range stuck.Saturated {
@@ -156,7 +154,7 @@ func TestStuckComparatorSaturatesEverything(t *testing.T) {
 
 func TestDeadBinsPegLow(t *testing.T) {
 	want := []int{10, 50, 51, 200}
-	line, r, _ := rig(t, 4, 0, DeadBinList(want, From(1)))
+	line, r, _ := rig(t, 4, DeadBinList(want, From(1)))
 	m := r.Measure(line, env())
 	for _, b := range want {
 		if !m.Saturated[b] {
@@ -175,7 +173,7 @@ func TestDeadBinsPegLow(t *testing.T) {
 }
 
 func TestDeadBinFieldFractionStable(t *testing.T) {
-	line, r, _ := rig(t, 5, 0, DeadBinField(0.10, From(1)))
+	line, r, _ := rig(t, 5, DeadBinField(0.10, From(1)))
 	first := r.Measure(line, env())
 	second := r.Measure(line, env())
 	n := 0
@@ -196,9 +194,9 @@ func TestDeadBinFieldFractionStable(t *testing.T) {
 func TestOffsetAndSigmaDriftGrow(t *testing.T) {
 	// A drifting offset biases the reconstruction; the bias must grow with
 	// the measurement count.
-	line, r, _ := rig(t, 6, 0)
+	line, r, _ := rig(t, 6)
 	ref := r.Measure(line, env())
-	lineF, rF, _ := rig(t, 6, 0, OffsetStep(0, 0.1e-3, From(2)), NoiseDrift(0, 0.02, From(2)))
+	lineF, rF, _ := rig(t, 6, OffsetStep(0, 0.1e-3, From(2)), NoiseDrift(0, 0.02, From(2)))
 	if d := rmsDiff(ref.IIP, rF.Measure(lineF, env()).IIP); d > 1e-4 {
 		t.Fatalf("first measurement already distorted: %v", d)
 	}
@@ -227,7 +225,7 @@ func TestTransientGlitchesDistort(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			line, r, _ := rig(t, 8, 0, tc.fault)
+			line, r, _ := rig(t, 8, tc.fault)
 			clean := r.Measure(line, env())
 			faulted := r.Measure(line, env())
 			noise := rmsDiff(clean.IIP, r.Measure(line, env()).IIP)

@@ -10,15 +10,14 @@ import (
 
 // Arena is the reusable working memory of one measurement: the reflection
 // synthesis scratch, the coupler output, the reconstructed IIP, the per-bin
-// accounting slices, and the per-worker reference scratch and random
-// streams. MeasureInto recycles it across measurements so the steady-state
-// monitoring loop allocates nothing; callers without a natural owner go
-// through Measure, which borrows an arena from a process-wide pool.
+// accounting slices, and the reference scratch and random streams.
+// MeasureInto recycles it across measurements so the steady-state monitoring
+// loop allocates nothing; callers without a natural owner go through
+// Measure, which borrows an arena from a process-wide pool.
 //
-// Ownership rules: an arena serves one measurement at a time (the per-worker
-// slots inside it are the only concurrency), and the Measurement returned by
-// MeasureInto aliases the arena's buffers — it is valid until the next
-// MeasureInto on the same arena. Arenas are instrument-agnostic: the same
+// Ownership rules: an arena serves one measurement at a time, on one
+// goroutine, and the Measurement returned by MeasureInto aliases the arena's
+// buffers — it is valid until the next MeasureInto on the same arena. Arenas are instrument-agnostic: the same
 // arena may serve different Reflectometers on successive measurements, since
 // every buffer is resized and every stream reseeded before use.
 type Arena struct {
@@ -29,11 +28,11 @@ type Arena struct {
 	binCycles []int
 	saturated []bool
 
-	// scratch and binRN hold one reference-level buffer and one reusable
-	// bin stream per worker; mStream is the per-measurement parent those
-	// bin streams are re-derived from.
-	scratch [][]float64
-	binRN   []*rng.Stream
+	// scratch and binRN are the reference-level buffer and the bin stream
+	// every bin reuses in turn; mStream is the per-measurement parent binRN
+	// is re-derived from at the start of each bin.
+	scratch []float64
+	binRN   *rng.Stream
 	mStream *rng.Stream
 
 	ctx binCtx
@@ -42,9 +41,9 @@ type Arena struct {
 // NewArena returns an empty arena; buffers are sized lazily on first use.
 func NewArena() *Arena { return &Arena{} }
 
-// prepare sizes the arena for a measurement of `bins` bins on `workers`
-// workers with `trials` reference levels per bin.
-func (a *Arena) prepare(rate float64, bins, workers, trials int) {
+// prepare sizes the arena for a measurement of `bins` bins with `trials`
+// reference levels per bin.
+func (a *Arena) prepare(rate float64, bins, trials int) {
 	a.out = signal.Reuse(a.out, rate, bins)
 	if cap(a.binCycles) < bins {
 		a.binCycles = make([]int, bins)
@@ -54,19 +53,12 @@ func (a *Arena) prepare(rate float64, bins, workers, trials int) {
 		a.saturated = make([]bool, bins)
 	}
 	a.saturated = a.saturated[:bins]
-	if len(a.scratch) < workers {
-		a.scratch = append(a.scratch, make([][]float64, workers-len(a.scratch))...)
+	if cap(a.scratch) < trials {
+		a.scratch = make([]float64, trials)
 	}
-	for w := 0; w < workers; w++ {
-		if cap(a.scratch[w]) < trials {
-			a.scratch[w] = make([]float64, trials)
-		}
-		a.scratch[w] = a.scratch[w][:trials]
-	}
-	for len(a.binRN) < workers {
-		a.binRN = append(a.binRN, rng.New(0))
-	}
-	if a.mStream == nil {
+	a.scratch = a.scratch[:trials]
+	if a.binRN == nil {
+		a.binRN = rng.New(0)
 		a.mStream = rng.New(0)
 	}
 }

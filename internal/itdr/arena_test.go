@@ -1,6 +1,7 @@
 package itdr
 
 import (
+	"runtime"
 	"testing"
 
 	"divot/internal/rng"
@@ -13,7 +14,6 @@ import (
 // arena.
 func TestMeasureIntoMatchesMeasure(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Parallelism = 1
 	lineA, ra := testRig(t, 31, cfg)
 	lineB, rb := testRig(t, 31, cfg)
 	env := txline.RoomTemperature()
@@ -39,19 +39,19 @@ func TestMeasureIntoMatchesMeasure(t *testing.T) {
 }
 
 // TestMeasureIntoAllocationFree is the arena's reason to exist: once the
-// arena and the per-bin inverter cache are warm, a sequential measurement
-// must not allocate at all.
+// arena and the per-bin inverter cache are warm, a measurement must not
+// allocate at all. It runs with two procs so a capture that fanned its bins
+// out over goroutines would show up here.
 func TestMeasureIntoAllocationFree(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Parallelism = 1
-	line, r := testRig(t, 7, cfg)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	line, r := testRig(t, 7, DefaultConfig())
 	env := txline.RoomTemperature()
 	arena := NewArena()
 	// Warm-up: first measurement sizes the arena and builds the inverters,
 	// second promotes them to tabulated CDFs.
 	r.MeasureInto(arena, line, env)
 	r.MeasureInto(arena, line, env)
-	allocs := testing.AllocsPerRun(10, func() {
+	allocs := allocsPerRun(10, func() {
 		r.MeasureInto(arena, line, env)
 	})
 	if allocs != 0 {
@@ -59,12 +59,26 @@ func TestMeasureIntoAllocationFree(t *testing.T) {
 	}
 }
 
+// allocsPerRun is testing.AllocsPerRun without its GOMAXPROCS(1) pin, which
+// would hide any goroutine fan-out inside f: it warms f once, then counts
+// the mallocs of runs further calls at the current GOMAXPROCS, truncating
+// the average as AllocsPerRun does.
+func allocsPerRun(runs int, f func()) float64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64((after.Mallocs - before.Mallocs) / uint64(runs))
+}
+
 // TestMeasureDetachedFromPool proves Measure's result survives the arena
 // being reused: retained measurements (the calibration-averaging pattern)
 // must not be overwritten by later measurements.
 func TestMeasureDetachedFromPool(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Parallelism = 1
 	line, r := testRig(t, 11, cfg)
 	env := txline.RoomTemperature()
 	first := r.Measure(line, env)
@@ -110,7 +124,6 @@ func TestSharedInverseTableReuse(t *testing.T) {
 // through one arena matches running each with its own.
 func TestArenaServesMultipleInstruments(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Parallelism = 1
 	mk := func() (*txline.Line, *Reflectometer, *txline.Line, *Reflectometer) {
 		s := rng.New(77)
 		lineA := txline.New("A", txline.DefaultConfig(), s.Child("line-a"))

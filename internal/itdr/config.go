@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"divot/internal/analog"
-	"divot/internal/pool"
 )
 
 // TriggerMode selects which bus events launch probe edges (§II-E).
@@ -83,12 +82,6 @@ type Config struct {
 	// launch edge in TriggerFIFO/TriggerNone modes (0.25 for scrambled
 	// random data: P(1 then 0)).
 	TriggerDensity float64
-	// Parallelism bounds the worker goroutines one Measure call fans its ETS
-	// phase bins across. 0 (the default) selects runtime.GOMAXPROCS(0); 1
-	// runs fully inline on the calling goroutine. Results are bit-identical
-	// at every setting — each bin derives its randomness from its own
-	// labelled rng child, so scheduling cannot change what is drawn.
-	Parallelism int
 }
 
 // DefaultConfig returns the prototype's parameters (§IV-A): 156.25 MHz
@@ -141,15 +134,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("itdr: comparator noise %v must be positive", c.ComparatorNoise)
 	case c.Trigger != TriggerClock && (c.TriggerDensity <= 0 || c.TriggerDensity > 1):
 		return fmt.Errorf("itdr: trigger density %v must be in (0, 1]", c.TriggerDensity)
-	case c.Parallelism < 0:
-		return fmt.Errorf("itdr: negative parallelism %d", c.Parallelism)
 	}
 	return nil
 }
-
-// EffectiveParallelism resolves the Parallelism knob: 0 means
-// runtime.GOMAXPROCS(0).
-func (c Config) EffectiveParallelism() int { return pool.Workers(c.Parallelism) }
 
 // Bins returns the number of ETS phase bins the window is divided into.
 func (c Config) Bins() int {

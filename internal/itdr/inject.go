@@ -54,9 +54,9 @@ type MeasurementFault struct {
 	// Condition, when non-nil, transforms the environmental condition the
 	// measurement runs under (temperature steps, EMI bursts).
 	Condition func(ConditionTransform) ConditionTransform
-	// Bin, when non-nil, returns the per-bin fault for ETS bin m. It is
-	// called concurrently from the bin fan-out workers and must be a pure
-	// function of m (and of state fixed before the measurement started).
+	// Bin, when non-nil, returns the per-bin fault for ETS bin m. It must be
+	// a pure function of m (and of state fixed before the measurement
+	// started), so a bin's fault depends only on the bin's identity.
 	Bin func(m int) BinFault
 }
 

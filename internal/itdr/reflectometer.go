@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"divot/internal/analog"
-	"divot/internal/pool"
 	"divot/internal/rng"
 	"divot/internal/signal"
 	"divot/internal/telemetry"
@@ -63,10 +62,9 @@ type Reflectometer struct {
 	// measurements. Clock-triggered probing revisits each bin with the same
 	// Vernier reference sequence every measurement, so from the second
 	// measurement on the bin's inverter is promoted to a tabulated CDF and
-	// reconstruction stops paying for erfc entirely. Each slot is touched by
-	// exactly one worker per measurement (bins are the unit of fan-out), and
-	// measurements are separated by the pool's join, so no locking is
-	// needed.
+	// reconstruction stops paying for erfc entirely. Only a measurement
+	// that owns the instrument writes it (series followers read it frozen),
+	// so no locking is needed.
 	binInv []*Inverter
 	// binInvStore backs binInv with a single flat allocation so building the
 	// per-bin cache costs one slice instead of one heap Inverter per bin.
@@ -155,8 +153,8 @@ func (r *Reflectometer) Measure(line *txline.Line, env txline.Environment) Measu
 // MeasureInto is Measure running entirely inside the caller's arena: the
 // returned Measurement's IIP and Saturated alias the arena's buffers and are
 // valid until the next MeasureInto on the same arena. In steady state (warm
-// arena, warm per-bin inverter cache, Parallelism 1) a measurement allocates
-// nothing; results are bit-identical to Measure at any parallelism.
+// arena, warm per-bin inverter cache) a measurement allocates nothing;
+// results are bit-identical to Measure.
 func (r *Reflectometer) MeasureInto(a *Arena, line *txline.Line, env txline.Environment) Measurement {
 	cond := env.Sample(r.envRN)
 	return r.measureUnder(a, line, cond)
@@ -164,15 +162,13 @@ func (r *Reflectometer) MeasureInto(a *Arena, line *txline.Line, env txline.Envi
 
 // measureUnder runs the acquisition for a fixed environmental condition.
 //
-// Acquisition is organized around the fact that ETS phase bins are
-// embarrassingly parallel: every bin owns its trigger search, its trial
-// loop, and its inverse-map evaluation, and nothing a bin computes feeds any
-// other bin. Each bin therefore derives all of its randomness (trigger
-// pattern, EMI phase, PLL jitter, comparator noise) from its own labelled
-// child of the per-measurement stream and writes only to its own output
-// slot, so fanning bins across cfg.EffectiveParallelism() workers yields
-// bit-identical IIPs at any worker count — Parallelism=1 runs the same
-// per-bin code inline.
+// Like the hardware iTDR, one capture takes its bins one after another on
+// the calling goroutine; concurrency lives at coarser units (the captures of
+// a series, links, wires). Every bin owns its trigger search, its trial
+// loop, and its inverse-map evaluation, and derives all of its randomness
+// (trigger pattern, EMI phase, PLL jitter, comparator noise) from its own
+// labelled child of the per-measurement stream, so a bin's draws never
+// depend on how many bins ran before it.
 func (r *Reflectometer) measureUnder(a *Arena, line *txline.Line, cond txline.Condition) Measurement {
 	r.seq++
 	return r.measureAt(a, line, cond, r.seq, false)
@@ -206,11 +202,7 @@ func (r *Reflectometer) measureAt(a *Arena, line *txline.Line, cond txline.Condi
 		cond.EMIAmplitude = ct.EMIAmplitude
 	}
 
-	workers := cfg.EffectiveParallelism()
-	if workers > bins {
-		workers = bins
-	}
-	a.prepare(rate, bins, workers, cfg.TrialsPerBin)
+	a.prepare(rate, bins, cfg.TrialsPerBin)
 
 	// Physical truth: the back-reflection waveform for this condition, and
 	// the incident edge that leaks through the coupler's finite directivity.
@@ -267,24 +259,11 @@ func (r *Reflectometer) measureAt(a *Arena, line *txline.Line, cond txline.Condi
 		jitterRMS:   jitterRMS,
 		clockPeriod: 1 / cfg.SampleClockHz,
 		binStride:   binStride,
-		out:         a.out,
-		binCycles:   a.binCycles,
-		saturated:   a.saturated,
-		scratch:     a.scratch,
-		binRN:       a.binRN,
-		mStream:     a.mStream,
 		wu:          r.wu,
 		shared:      shared,
 	}
-	ctx := &a.ctx
-	if workers <= 1 {
-		// Inline fast path: no closure, no goroutines — the steady-state
-		// Parallelism=1 monitoring loop allocates nothing here.
-		for m := 0; m < bins; m++ {
-			r.measureBin(ctx, 0, m)
-		}
-	} else {
-		pool.Run(bins, workers, func(worker, m int) { r.measureBin(ctx, worker, m) })
+	for m := 0; m < bins; m++ {
+		r.measureBin(a, m)
 	}
 
 	cycles := 0
@@ -303,10 +282,8 @@ func (r *Reflectometer) measureAt(a *Arena, line *txline.Line, cond txline.Condi
 	}
 }
 
-// binCtx is the read-mostly state shared by every bin of one measurement;
-// it lives inside the arena so assembling it per measurement costs nothing.
-// Workers touch only their own scratch/binRN slot and their bins' output
-// slots.
+// binCtx is the per-measurement state every bin reads; it lives inside the
+// arena so assembling it per measurement costs nothing.
 type binCtx struct {
 	cond        txline.Condition
 	seen        *signal.Waveform
@@ -316,12 +293,6 @@ type binCtx struct {
 	jitterRMS   float64
 	clockPeriod float64
 	binStride   int
-	out         *signal.Waveform
-	binCycles   []int
-	saturated   []bool
-	scratch     [][]float64
-	binRN       []*rng.Stream
-	mStream     *rng.Stream
 	wu          *warmup
 	shared      bool
 }
@@ -347,17 +318,17 @@ func (r *Reflectometer) emitMeasurement(seq uint64, saturated []bool) {
 }
 
 // measureBin acquires one ETS phase bin: trigger search, trial loop, and
-// inverse-map evaluation. All randomness derives from the bin index, never
-// from which worker runs the bin or in what order — the determinism contract
-// behind bit-identical IIPs at any parallelism.
-func (r *Reflectometer) measureBin(c *binCtx, worker, m int) {
+// inverse-map evaluation. All randomness derives from the bin index through
+// the bin's labelled child stream.
+func (r *Reflectometer) measureBin(a *Arena, m int) {
 	cfg := r.cfg
-	bs := c.binRN[worker]
-	bs.ReseedChildN(c.mStream, "bin", uint64(m))
+	c := &a.ctx
+	bs := a.binRN
+	bs.ReseedChildN(a.mStream, "bin", uint64(m))
 	// With a shared warmup the bin's reference schedule was precomputed once
 	// for the whole fleet: read it instead of re-evaluating the modulator per
 	// trial. wuRefs is immutable — the trial loop must not write it.
-	refs := c.scratch[worker]
+	refs := a.scratch
 	var wuRefs []float64
 	if c.wu != nil {
 		wuRefs = c.wu.refs[m]
@@ -456,7 +427,7 @@ func (r *Reflectometer) measureBin(c *binCtx, worker, m int) {
 			ones = cfg.TrialsPerBin
 		}
 	}
-	c.saturated[m] = ones == 0 || ones == cfg.TrialsPerBin
+	a.saturated[m] = ones == 0 || ones == cfg.TrialsPerBin
 	p := float64(ones) / float64(cfg.TrialsPerBin)
 	// Per-bin inverse-map cache: reuse the inverter while the bin's
 	// reference sequence repeats (always, under TriggerClock) and
@@ -488,6 +459,6 @@ func (r *Reflectometer) measureBin(c *binCtx, worker, m int) {
 		inv.Promote()
 	}
 	// Refer the estimate back to the line by undoing the coupler gain.
-	c.out.Samples[m] = inv.Estimate(p, cfg.TrialsPerBin) / cfg.Coupler.Factor
-	c.binCycles[m] = cycle
+	a.out.Samples[m] = inv.Estimate(p, cfg.TrialsPerBin) / cfg.Coupler.Factor
+	a.binCycles[m] = cycle
 }

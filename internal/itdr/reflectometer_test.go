@@ -222,53 +222,3 @@ func TestPhaseJitterDegradesGracefully(t *testing.T) {
 		t.Errorf("ideal-PLL correlation %v suspicious", clean)
 	}
 }
-
-// TestMeasureParallelismInvariance is the engine's core contract: the IIP,
-// trial count and cycle accounting of a measurement sequence are bit-identical
-// at every Parallelism setting, because each ETS bin derives its randomness
-// from its own labelled stream child rather than from execution order. Three
-// consecutive measurements per instrument also cover the per-bin inverter
-// cache in all three states (cold, first reuse, promoted table).
-func TestMeasureParallelismInvariance(t *testing.T) {
-	scenarios := map[string]struct {
-		mutate func(*Config)
-		env    txline.Environment
-	}{
-		"clock-room": {func(c *Config) {}, txline.RoomTemperature()},
-		// Data-triggered probing under EMI exercises every per-bin draw
-		// (trigger search, polarity, EMI phase, PLL jitter, noise).
-		"fifo-emi": {func(c *Config) { c.Trigger = TriggerFIFO }, txline.EMI(0.8e-3, 333e6)},
-	}
-	for name, sc := range scenarios {
-		t.Run(name, func(t *testing.T) {
-			var base []Measurement
-			var basePar int
-			for _, par := range []int{1, 4, 0} { // 0 = GOMAXPROCS
-				cfg := DefaultConfig()
-				sc.mutate(&cfg)
-				cfg.Parallelism = par
-				line, r := testRig(t, 1234, cfg)
-				ms := make([]Measurement, 3)
-				for i := range ms {
-					ms[i] = r.Measure(line, sc.env)
-				}
-				if base == nil {
-					base, basePar = ms, par
-					continue
-				}
-				for i := range ms {
-					if ms[i].Trials != base[i].Trials || ms[i].CyclesUsed != base[i].CyclesUsed {
-						t.Fatalf("measurement %d accounting differs: parallelism %d gave (%d, %d), %d gave (%d, %d)",
-							i, par, ms[i].Trials, ms[i].CyclesUsed, basePar, base[i].Trials, base[i].CyclesUsed)
-					}
-					for j, v := range ms[i].IIP.Samples {
-						if v != base[i].IIP.Samples[j] {
-							t.Fatalf("measurement %d bin %d differs at parallelism %d: %v vs %v",
-								i, j, par, v, base[i].IIP.Samples[j])
-						}
-					}
-				}
-			}
-		})
-	}
-}

@@ -22,13 +22,12 @@ import (
 // ("measurement", seq).
 //
 // Workers (≤ 0 means GOMAXPROCS) bounds the fan-out; memory stays at
-// O(workers) arenas regardless of n. Intra-measurement bin fan-out is
-// governed separately by Config.Parallelism, so a fleet scheduler can split
-// its core budget across the two levels. The fan-out engages only for
-// clock-triggered instruments on their config modulator with no fault
-// injector — cold enrollment — because only there is the instrument state
-// (forward edge, per-bin inverse maps) frozen after the first measurement;
-// everything else runs the plain sequential loop.
+// O(workers) arenas regardless of n. Each capture itself runs on one
+// goroutine, so the series is the finest unit an enrollment fans out over.
+// The fan-out engages only for clock-triggered instruments on their config
+// modulator with no fault injector — cold enrollment — because only there
+// is the instrument state (forward edge, per-bin inverse maps) frozen after
+// the first measurement; everything else runs the plain sequential loop.
 func (r *Reflectometer) MeasureSeries(a *Arena, line *txline.Line, env txline.Environment, n, workers int, consume func(i int, m Measurement)) {
 	if n <= 0 {
 		return

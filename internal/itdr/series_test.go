@@ -47,7 +47,6 @@ func TestMeasureSeriesMatchesSequential(t *testing.T) {
 	const n = 9
 	for _, workers := range []int{1, 2, 8} {
 		cfg := DefaultConfig()
-		cfg.Parallelism = 1
 		lineA, ra := testRig(t, 17, cfg)
 		lineB, rb := testRig(t, 17, cfg)
 		var logA, logB seriesLog
@@ -100,7 +99,6 @@ func TestMeasureSeriesMatchesSequential(t *testing.T) {
 // sequential loop and stay identical.
 func TestMeasureSeriesFallback(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Parallelism = 1
 	cfg.Trigger = TriggerFIFO
 	lineA, ra := testRig(t, 23, cfg)
 	lineB, rb := testRig(t, 23, cfg)
@@ -130,7 +128,6 @@ func TestMeasureSeriesFallback(t *testing.T) {
 // explicitly (warmup off).
 func TestWarmupMatchesExplicitModulator(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Parallelism = 1
 	lineA, ra := testRig(t, 41, cfg) // implicit modulator → warmup
 	lineB, rb := testRigExplicitMod(t, 41, cfg)
 	if ra.wu == nil {

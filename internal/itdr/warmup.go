@@ -87,7 +87,6 @@ func warmupFor(cfg Config, probe txline.Probe) *warmup {
 		return nil
 	}
 	key := warmupKey{cfg: cfg, probe: probe}
-	key.cfg.Parallelism = 0
 	e, _ := warmupCache.LoadOrStore(key, &warmupEntry{})
 	ent := e.(*warmupEntry)
 	ent.once.Do(func() { ent.w = newWarmup(cfg, probe) })

@@ -1,7 +1,7 @@
 // Package pool provides the bounded, deterministic worker fan-out used by
-// every parallel layer of the reproduction: ETS phase bins inside one iTDR
-// measurement, rigs of an experiment fleet, wires of a multi-wire bus, and
-// links of a monitored system.
+// every parallel layer of the reproduction: the captures of an enrollment
+// series, rigs of an experiment fleet, wires of a multi-wire bus, and links
+// of a monitored system.
 //
 // The pool makes no ordering promises about *execution*; determinism is a
 // contract on the tasks instead: fn(i) must depend only on i (each task

@@ -7,9 +7,9 @@
 // Determinism contract: a stream's output depends only on its seed, and a
 // child's seed depends only on the parent's seed and the label — never on how
 // much the parent (or any sibling) has been consumed. This is what lets the
-// measurement engine fan independent units of work (ETS phase bins, fleet
-// rigs, monitored links) across goroutines and still produce bit-identical
-// results at any parallelism level: each unit derives its own child stream
+// measurement engine fan independent units of work (enrollment captures,
+// fleet rigs, monitored links) across goroutines and still produce
+// bit-identical results at any parallelism level: each unit derives its own child stream
 // from a stable label, so scheduling order cannot change what anyone draws.
 //
 // Streams are backed by PCG (math/rand/v2): two words of state, so forking a
