@@ -99,7 +99,7 @@ const inverterTableSize = 256
 //
 // An Inverter is immutable after Promote and safe for concurrent use; the
 // promotion itself must be single-goroutine (the measurement engine
-// guarantees this by owning each bin's slot on exactly one worker).
+// guarantees this: only the measurement that owns the instrument promotes).
 type Inverter struct {
 	cdf   *stats.CompositeCDF
 	table *stats.InverseTable // nil until Promote
