@@ -45,11 +45,11 @@ import (
 // usable; start from DefaultConfig.
 //
 // Engine.Parallelism is the system's single parallelism knob: it bounds the
-// worker goroutines of MonitorAll's link fan-out, MultiLink wire fan-out,
-// and the capture fan-out of each enrollment series. A single capture always
-// runs on the goroutine that asked for it, as one hardware iTDR takes its
-// trials one after another. 0 (the default) uses one worker per CPU; 1 runs
-// fully sequentially; every setting produces bit-identical results.
+// worker goroutines of MonitorAll's link fan-out and MultiLink's wire
+// fan-out. One link enrolls, and one capture runs, on the goroutine that
+// asked for it, as one hardware iTDR takes its captures and trials one after
+// another. 0 (the default) uses one worker per CPU; 1 runs fully
+// sequentially; every setting produces bit-identical results.
 type Config struct {
 	// Engine is the endpoint configuration: iTDR parameters, fingerprint
 	// pipeline, thresholds, enrollment depth.

@@ -13,7 +13,7 @@ import (
 )
 
 // legacyCalibrate is a verbatim copy of Link.Calibrate as it shipped before
-// the arena/series cold-enrollment fast path: per-measurement waveform
+// the arena cold-enrollment fast path: per-measurement waveform
 // slices, Pipeline.Average over all of them, allocating ErrorFunction floor
 // probes. It is the reference the fast path must reproduce byte-for-byte —
 // fingerprints, thresholds, and instrument state alike.
@@ -50,11 +50,9 @@ func legacyCalibrate(l *Link) error {
 
 // newDetLink builds a link from a fixed universe for the determinism tests;
 // every call returns a bit-identical twin.
-func newDetLink(t *testing.T, parallelism int) *Link {
+func newDetLink(t *testing.T) *Link {
 	t.Helper()
-	cfg := DefaultConfig()
-	cfg.Parallelism = parallelism
-	l, err := NewLink("det0", cfg, txline.DefaultConfig(), rng.New(4242))
+	l, err := NewLink("det0", DefaultConfig(), txline.DefaultConfig(), rng.New(4242))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +86,11 @@ func thresholds(l *Link) [2]uint64 {
 // calibration and the streaming fast path produce byte-identical enrollment
 // exports and bit-identical auto-derived tamper thresholds.
 func TestCalibrateMatchesLegacyPath(t *testing.T) {
-	legacy := newDetLink(t, 1)
+	legacy := newDetLink(t)
 	if err := legacyCalibrate(legacy); err != nil {
 		t.Fatal(err)
 	}
-	fast := newDetLink(t, 1)
+	fast := newDetLink(t)
 	if err := fast.Calibrate(); err != nil {
 		t.Fatal(err)
 	}
@@ -117,30 +115,5 @@ func TestCalibrateMatchesLegacyPath(t *testing.T) {
 	}
 	if l, f := math.Float64bits(legacy.CPU.lastScore), math.Float64bits(fast.CPU.lastScore); l != f {
 		t.Errorf("post-calibration round diverged: legacy score %x, fast %x", l, f)
-	}
-}
-
-// TestCalibrateWorkerInvariance pins the PR-1 contract on the enrollment
-// fan-out: CalibrateWith produces byte-identical enrollments and thresholds
-// at any worker count, so calib_parallelism can never change what a fleet
-// enrolls as.
-func TestCalibrateWorkerInvariance(t *testing.T) {
-	base := newDetLink(t, 1)
-	if err := base.CalibrateWith(1); err != nil {
-		t.Fatal(err)
-	}
-	want := exportEnrollments(t, base)
-	wantThr := thresholds(base)
-	for _, workers := range []int{2, 8} {
-		l := newDetLink(t, 1)
-		if err := l.CalibrateWith(workers); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(want, exportEnrollments(t, l)) {
-			t.Errorf("enrollment at %d workers differs from sequential", workers)
-		}
-		if got := thresholds(l); got != wantThr {
-			t.Errorf("thresholds at %d workers = %v, want %v", workers, got, wantThr)
-		}
 	}
 }

@@ -123,11 +123,11 @@ type Config struct {
 	// calibration.
 	EnrollMeasurements int
 	// Parallelism bounds the worker goroutines of every concurrent
-	// operation this engine owns: the capture fan-out of an enrollment
-	// series, the wire fan-out of MultiLink rounds, and the link fan-out of
-	// MonitorAll. A single capture always runs on the goroutine that asked
-	// for it. 0 (the default) selects runtime.GOMAXPROCS(0); 1 runs
-	// everything inline. Results are bit-identical at every setting.
+	// operation this engine owns: the wire fan-out of MultiLink enrollment
+	// and rounds, and the link fan-out of MonitorAll. One link enrolls, and
+	// one capture runs, on the goroutine that asked for it. 0 (the default)
+	// selects runtime.GOMAXPROCS(0); 1 runs everything inline. Results are
+	// bit-identical at every setting.
 	Parallelism int
 	// Robust tunes the fault-tolerant monitoring protocol: confirm-on-
 	// suspect retries, dead-bin masking, and drift-guarded re-enrollment.
@@ -359,23 +359,17 @@ const enrollKey = "link"
 // is auto-calibrated (zero), it is set to a multiple of the clean-state
 // noise floor observed right after enrollment.
 //
-// Calibrate runs the cold-enrollment fast path: captures stream through the
-// endpoint's arena into a running average (O(1) waveforms held instead of
-// EnrollMeasurements), the floor probes score through the endpoint's
-// workspace and a reused error buffer, and the per-endpoint measurement
-// series fans out over Config.Parallelism workers. Fingerprints, thresholds,
-// telemetry, and instrument state are bit-identical to the original
-// retain-and-average path at any worker count (see calib_determinism_test.go).
-func (l *Link) Calibrate() error { return l.CalibrateWith(l.cfg.Parallelism) }
-
-// CalibrateWith is Calibrate with an explicit worker budget for the
-// per-endpoint measurement series (<= 0 means GOMAXPROCS, 1 is fully
-// sequential). Results are bit-identical at any worker count; the knob only
-// decides how many cores the enrollment may use. The daemon's two-level
-// cold-start schedule drives this from the calib_parallelism spec field.
-func (l *Link) CalibrateWith(workers int) error {
+// Calibrate runs the cold-enrollment fast path on the calling goroutine:
+// captures stream through the endpoint's arena into a running average (O(1)
+// waveforms held instead of EnrollMeasurements), and the floor probes score
+// through the endpoint's workspace and a reused error buffer. Fingerprints,
+// thresholds, telemetry, and instrument state are bit-identical to the
+// original retain-and-average path (see calib_determinism_test.go).
+// Parallelism lives above a link: MultiLink.Calibrate (wires) and the
+// daemon's cold start (buses) enroll independent links concurrently.
+func (l *Link) Calibrate() error {
 	for _, e := range []*Endpoint{l.CPU, l.Module} {
-		if err := e.calibrate(l.cfg, l.Env, workers); err != nil {
+		if err := e.calibrate(l.cfg, l.Env); err != nil {
 			return err
 		}
 	}
@@ -386,11 +380,12 @@ func (l *Link) CalibrateWith(workers int) error {
 
 // calibrate enrolls one endpoint: averaged fingerprint, then — when the
 // tamper threshold auto-calibrates — the clean-state noise-floor probes.
-func (e *Endpoint) calibrate(cfg Config, env txline.Environment, workers int) error {
+func (e *Endpoint) calibrate(cfg Config, env txline.Environment) error {
 	e.resetRobustState(cfg)
 	e.avg.Reset()
-	e.refl.MeasureSeries(e.arena, e.observed, env, cfg.EnrollMeasurements, workers,
-		func(_ int, m itdr.Measurement) { e.avg.Add(m.IIP) })
+	for i := 0; i < cfg.EnrollMeasurements; i++ {
+		e.avg.Add(e.refl.MeasureInto(e.arena, e.observed, env).IIP)
+	}
 	f, err := e.pipeline.FromAverage(&e.avg)
 	if err != nil {
 		return fmt.Errorf("core: calibrating %s endpoint: %w", e.Side, err)
@@ -399,20 +394,26 @@ func (e *Endpoint) calibrate(cfg Config, env txline.Environment, workers int) er
 		return fmt.Errorf("core: enrolling %s endpoint: %w", e.Side, err)
 	}
 	if e.detector.PeakThreshold == 0 {
-		var floor float64
-		e.refl.MeasureSeries(e.arena, e.observed, env, tamperFloorProbes, workers,
-			func(_ int, m itdr.Measurement) {
-				fm := e.pipeline.FromWaveformWith(&e.ws, m.IIP)
-				e.errBuf = fingerprint.ErrorFunctionInto(e.errBuf, fm, f)
-				if v, _, _ := fingerprint.PeakError(e.errBuf); v > floor {
-					floor = v
-				}
-			})
-		e.detector.PeakThreshold = 3 * cfg.tamperScale() * floor
+		e.detector.PeakThreshold = 3 * cfg.tamperScale() * e.noiseFloor(env, f, tamperFloorProbes)
 	}
 	e.authenticated = true
 	e.Gate.Set(true)
 	return nil
+}
+
+// noiseFloor takes n clean captures and returns the largest peak error any
+// of them shows against the enrolled fingerprint f — the clean-state floor
+// an auto-calibrated tamper threshold scales from.
+func (e *Endpoint) noiseFloor(env txline.Environment, f fingerprint.IIP, n int) float64 {
+	var floor float64
+	for i := 0; i < n; i++ {
+		m := e.pipeline.FromWaveformWith(&e.ws, e.refl.MeasureInto(e.arena, e.observed, env).IIP)
+		e.errBuf = fingerprint.ErrorFunctionInto(e.errBuf, m, f)
+		if v, _, _ := fingerprint.PeakError(e.errBuf); v > floor {
+			floor = v
+		}
+	}
+	return floor
 }
 
 // Calibrated reports whether enrollment has happened.

@@ -61,17 +61,14 @@ func NewMultiLink(id string, cfg Config, lineCfg txline.Config, n int, stream *r
 }
 
 // Calibrate enrolls every wire and opens the fused gates. Wires own disjoint
-// lines and instruments, so enrollment fans out across the engine's
-// Parallelism workers with results identical to enrolling in order. The
-// worker budget splits two-level — across wires first, leftover workers
-// handed to each wire's enrollment series — so a wide bus and a narrow one
-// both saturate the same core budget without oversubscribing.
+// lines and instruments, so enrollment fans out one wire per worker across
+// the engine's Parallelism workers, each wire enrolling on its own
+// goroutine, with results identical to enrolling in order.
 func (m *MultiLink) Calibrate() error {
 	errs := make([]error, len(m.Wires))
 	recs, orig := m.maybeSwapRecorders()
-	across, within := pool.Split(m.cfg.Parallelism, len(m.Wires))
-	pool.Run(len(m.Wires), across, func(_, w int) {
-		errs[w] = m.Wires[w].CalibrateWith(within)
+	pool.Run(len(m.Wires), pool.Workers(m.cfg.Parallelism), func(_, w int) {
+		errs[w] = m.Wires[w].Calibrate()
 	})
 	m.maybeDrainRecorders(recs, orig)
 	for _, err := range errs {

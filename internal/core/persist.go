@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"divot/internal/fingerprint"
-	"divot/internal/itdr"
 )
 
 // ExportEnrollment writes the endpoint's stored bus fingerprint — its EPROM
@@ -49,17 +48,7 @@ func (l *Link) RestoreCalibration(cpu, module io.Reader) error {
 			// Floor probes run on the arena/workspace path like Calibrate's;
 			// note the restore threshold is 3× the raw floor (no tamperScale),
 			// the historical boot-path contract.
-			e := pair.e
-			var floor float64
-			e.refl.MeasureSeries(e.arena, e.observed, l.Env, 4, 1,
-				func(_ int, meas itdr.Measurement) {
-					m := e.pipeline.FromWaveformWith(&e.ws, meas.IIP)
-					e.errBuf = fingerprint.ErrorFunctionInto(e.errBuf, m, enrolled)
-					if v, _, _ := fingerprint.PeakError(e.errBuf); v > floor {
-						floor = v
-					}
-				})
-			e.detector.PeakThreshold = 3 * floor
+			pair.e.detector.PeakThreshold = 3 * pair.e.noiseFloor(l.Env, enrolled, 4)
 		}
 		pair.e.authenticated = true
 		pair.e.Gate.Set(true)

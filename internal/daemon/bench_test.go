@@ -234,35 +234,26 @@ func BenchmarkFleetHealth(b *testing.B) {
 // BenchmarkFleetColdStart measures full-fidelity fleet bring-up: every bus
 // cold-enrolled on the paper-weight instrument — the real one-time pairing
 // cost a new fleet pays (BenchmarkDaemonStartup runs light instruments to
-// isolate daemon overhead instead). The calib sweep exercises the two-level
-// calib_parallelism schedule (across links × within links); enrollment
-// output is bit-identical at every worker count, so the knob only moves
-// wall clock. The bare sizes run the default budget (0 = one worker per
-// CPU).
+// isolate daemon overhead instead). Cold start fans out one link per worker
+// at the default parallelism (0 = one worker per CPU); each link enrolls on
+// its worker's goroutine.
 func BenchmarkFleetColdStart(b *testing.B) {
 	for _, n := range []int{10, 100, 1000} {
-		for _, calib := range []int{0, 1, 2} {
-			name := fmt.Sprintf("%d", n)
-			if calib != 0 {
-				name = fmt.Sprintf("%d/calib=%d", n, calib)
+		b.Run(fmt.Sprintf("%d", n), func(b *testing.B) {
+			if testing.Short() && n > 100 {
+				b.Skipf("skipping %d-bus cold start in -short mode", n)
 			}
-			b.Run(name, func(b *testing.B) {
-				if testing.Short() && n > 100 {
-					b.Skipf("skipping %d-bus cold start in -short mode", n)
+			spec := benchSpec(n, 0)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				d, err := NewDaemon(spec)
+				if err != nil {
+					b.Fatal(err)
 				}
-				spec := benchSpec(n, 0)
-				spec.CalibParallelism = calib
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					d, err := NewDaemon(spec)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if got := int(d.calibratedN.Load()); got != n {
-						b.Fatalf("calibrated %d/%d buses", got, n)
-					}
+				if got := int(d.calibratedN.Load()); got != n {
+					b.Fatalf("calibrated %d/%d buses", got, n)
 				}
-			})
-		}
+			}
+		})
 	}
 }

@@ -7,40 +7,50 @@ import (
 	"divot/internal/store"
 )
 
-// coldStartSnapshots cold-calibrates a small fleet at the given
-// calib_parallelism into a fresh in-memory backend and returns every bus's
-// persisted enrollment snapshot payload, keyed by bus id.
-func coldStartSnapshots(t *testing.T, calib int) map[string][]byte {
+// coldStartAt cold-starts an n-bus fleet at the given parallelism (spec and
+// engine alike; NewWithStore takes the engine's) on light instruments.
+func coldStartAt(t *testing.T, n, parallelism int, backend store.Backend) (*Daemon, Spec) {
 	t.Helper()
-	spec := benchSpec(6, 0)
-	spec.CalibParallelism = calib
-	backend := store.NewMemory()
-	d, err := NewWithStore(spec, lightConfig(), backend)
+	spec := benchSpec(n, 0)
+	spec.Parallelism = parallelism
+	cfg := lightConfig()
+	cfg.Engine.Parallelism = parallelism
+	d, err := NewWithStore(spec, cfg, backend)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return d, spec
+}
+
+// coldStartSnapshots cold-calibrates a small fleet at the given parallelism
+// into a fresh in-memory backend and returns every bus's persisted
+// enrollment snapshot payload, keyed by bus id.
+func coldStartSnapshots(t *testing.T, parallelism int) map[string][]byte {
+	t.Helper()
+	backend := store.NewMemory()
+	d, spec := coldStartAt(t, 6, parallelism, backend)
 	if got := int(d.calibratedN.Load()); got != len(spec.Buses) {
-		t.Fatalf("calibrated %d/%d buses at calib_parallelism %d", got, len(spec.Buses), calib)
+		t.Fatalf("calibrated %d/%d buses at parallelism %d", got, len(spec.Buses), parallelism)
 	}
 	out := make(map[string][]byte, len(spec.Buses))
 	for _, bus := range spec.Buses {
 		raw, err := backend.LoadSnapshot(bus.ID, d.specHash)
 		if err != nil {
-			t.Fatalf("snapshot for %s at calib_parallelism %d: %v", bus.ID, calib, err)
+			t.Fatalf("snapshot for %s at parallelism %d: %v", bus.ID, parallelism, err)
 		}
 		out[bus.ID] = raw
 	}
 	return out
 }
 
-// TestCalibParallelismSnapshotInvariance pins the fleet-level determinism
-// contract end to end: a cold start at calib_parallelism 1 and one at 8
+// TestParallelismSnapshotInvariance pins the fleet-level determinism
+// contract end to end: a cold start at parallelism 1 and one at 8
 // persist byte-identical enrollment snapshots for every bus (the store
 // envelope hashes the payload, so byte equality here is hash equality
 // there). The knob may only move wall clock, never what the fleet enrolled
 // as — a spec tuned for a 4-core edge box and a 64-core rack produce
 // interchangeable state directories.
-func TestCalibParallelismSnapshotInvariance(t *testing.T) {
+func TestParallelismSnapshotInvariance(t *testing.T) {
 	sequential := coldStartSnapshots(t, 1)
 	parallel := coldStartSnapshots(t, 8)
 	if len(sequential) != len(parallel) {
@@ -53,25 +63,15 @@ func TestCalibParallelismSnapshotInvariance(t *testing.T) {
 			continue
 		}
 		if !bytes.Equal(want, got) {
-			t.Errorf("bus %s: snapshot at calib_parallelism 8 differs from 1 (%d vs %d bytes)",
+			t.Errorf("bus %s: snapshot at parallelism 8 differs from 1 (%d vs %d bytes)",
 				id, len(want), len(got))
 		}
 	}
 	// And the spec hash itself must not depend on the knob: snapshots taken
 	// at one setting must load under another.
-	specA := benchSpec(1, 0)
-	specA.CalibParallelism = 1
-	specB := benchSpec(1, 0)
-	specB.CalibParallelism = 8
-	da, err := NewWithStore(specA, lightConfig(), store.NewMemory())
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := NewWithStore(specB, lightConfig(), store.NewMemory())
-	if err != nil {
-		t.Fatal(err)
-	}
+	da, _ := coldStartAt(t, 1, 1, store.NewMemory())
+	db, _ := coldStartAt(t, 1, 8, store.NewMemory())
 	if da.specHash != db.specHash {
-		t.Errorf("spec hash depends on calib_parallelism: %s vs %s", da.specHash, db.specHash)
+		t.Errorf("spec hash depends on parallelism: %s vs %s", da.specHash, db.specHash)
 	}
 }

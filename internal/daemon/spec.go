@@ -1,10 +1,11 @@
 package daemon
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
-	"strings"
 
 	"divot"
 )
@@ -17,17 +18,11 @@ type Spec struct {
 	// reproducible.
 	Seed uint64 `json:"seed"`
 	// Parallelism is the engine's worker bound (divot.Config.Engine
-	// .Parallelism) over links, wires and enrollment captures; one capture
-	// always runs on one goroutine. 0 = one worker per CPU, 1 = sequential.
+	// .Parallelism) over links and wires, cold start included: each link
+	// enrolls, and each capture runs, on one goroutine. 0 = one worker per
+	// CPU, 1 = sequential. Results, snapshots and the spec hash are the same
+	// at every setting.
 	Parallelism int `json:"parallelism"`
-	// CalibParallelism bounds the workers used for cold enrollment only: the
-	// budget splits two-level, across links first and leftover workers into
-	// each link's enrollment series (its captures run concurrently), so both
-	// a wide fleet and a single slow link saturate the same cores.
-	// Enrollment results are bit-identical at every worker count (the
-	// snapshot hash does not depend on it). 0 (the default) inherits Parallelism — which itself defaults
-	// to one worker per CPU; 1 = fully sequential calibration.
-	CalibParallelism int `json:"calib_parallelism"`
 	// Listen is the HTTP API address; default "127.0.0.1:9720".
 	Listen string `json:"listen"`
 	// IntervalMS is the default monitoring period per bus in milliseconds;
@@ -133,7 +128,18 @@ var attackKinds = map[string]bool{
 	"adaptive-tap": true,
 }
 
-// LoadSpec reads and validates a fleet spec file.
+// TrailingDataError reports content after the spec's JSON object.
+type TrailingDataError struct {
+	// Offset is the byte offset where the spec object ends.
+	Offset int64
+}
+
+func (e *TrailingDataError) Error() string {
+	return fmt.Sprintf("trailing data after the spec object (byte offset %d)", e.Offset)
+}
+
+// LoadSpec reads and validates a fleet spec file: exactly one JSON object,
+// no unknown keys, no trailing content.
 func LoadSpec(path string) (Spec, error) {
 	var spec Spec
 	if path == "" {
@@ -143,10 +149,16 @@ func LoadSpec(path string) (Spec, error) {
 	if err != nil {
 		return spec, fmt.Errorf("reading fleet spec: %w", err)
 	}
-	dec := json.NewDecoder(strings.NewReader(string(raw)))
+	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
 		return spec, fmt.Errorf("parsing fleet spec %s: %w", path, err)
+	}
+	// A spec is exactly one JSON object: a second document or stray bytes
+	// after it would otherwise be ignored silently.
+	end := dec.InputOffset()
+	if _, err := dec.Token(); err != io.EOF {
+		return spec, fmt.Errorf("parsing fleet spec %s: %w", path, &TrailingDataError{Offset: end})
 	}
 	spec.applyDefaults()
 	if err := spec.Validate(); err != nil {
@@ -178,9 +190,6 @@ func (s *Spec) Validate() error {
 	}
 	if s.Parallelism < 0 {
 		return fmt.Errorf("parallelism must be >= 0, got %d", s.Parallelism)
-	}
-	if s.CalibParallelism < 0 {
-		return fmt.Errorf("calib_parallelism must be >= 0, got %d", s.CalibParallelism)
 	}
 	if s.SchedulerShards < 0 {
 		return fmt.Errorf("scheduler_shards must be >= 0, got %d", s.SchedulerShards)

@@ -3,6 +3,9 @@ package daemon
 import (
 	"bytes"
 	"context"
+	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +14,10 @@ import (
 	"divot"
 	"divot/internal/store"
 )
+
+// trailingSpec is a valid one-bus spec followed by a second spec and junk;
+// only the first object would load if the rest were ignored.
+const trailingSpec = `{"buses":[{"id":"a"}]} {"buses":[{"id":"b"},{"id":"c"}]} garbage`
 
 func TestLoadSpecRejectsBadSpecs(t *testing.T) {
 	cases := []struct {
@@ -25,6 +32,9 @@ func TestLoadSpecRejectsBadSpecs(t *testing.T) {
 		{"unknown attack", `{"buses": [{"id": "a", "attack": {"kind": "laser"}}]}`, `unknown attack kind "laser"`},
 		{"unknown field", `{"busses": [{"id": "a"}]}`, "parsing fleet spec"},
 		{"bad threshold", `{"auth_threshold": 1.2, "buses": [{"id": "a"}]}`, "auth_threshold"},
+		// The cold-start key is gone: cold start runs at parallelism.
+		{"removed key", `{"calib_parallelism": 2, "buses": [{"id": "a"}]}`, `unknown field "calib_parallelism"`},
+		{"trailing data", trailingSpec, "trailing data"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -37,12 +47,45 @@ func TestLoadSpecRejectsBadSpecs(t *testing.T) {
 			}
 		})
 	}
+	var trailing *TrailingDataError
+	if _, err := LoadSpec(writeSpec(t, trailingSpec)); !errors.As(err, &trailing) || trailing.Offset != 22 {
+		t.Errorf("trailing-data error %v, want a *TrailingDataError at offset 22", err)
+	}
+	if _, err := LoadSpec(writeSpec(t, `{"buses": [{"id": "a"}]}`+"\n\t \n")); err != nil {
+		t.Errorf("trailing whitespace rejected: %v", err)
+	}
 	if _, err := LoadSpec(""); err == nil || !strings.Contains(err.Error(), "-spec") {
 		t.Errorf("missing path error %v should point at -spec", err)
 	}
 	if _, err := LoadSpec("/does/not/exist.json"); err == nil {
 		t.Error("nonexistent file should error")
 	}
+}
+
+// FuzzLoadSpec feeds hostile spec files through LoadSpec: every input must
+// either fail with an error or load as a spec that validates and names at
+// least one bus — never panic.
+func FuzzLoadSpec(f *testing.F) {
+	f.Add([]byte(`{"seed": 3, "interval_ms": 50, "buses": [{"id": "a"}, {"id": "b", "interval_ms": 7}]}`))
+	f.Add([]byte(`{"calib_parallelism": 2, "buses": [{"id": "a"}]}`))
+	f.Add([]byte(trailingSpec))
+	f.Add([]byte(`{"seed": 5, "buses": [{"id": "a", "attack": {"kind": "interposer", "after_rounds": 3, "position": 0.1}}]}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		path := filepath.Join(t.TempDir(), "fleet.json")
+		if err := os.WriteFile(path, body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		spec, err := LoadSpec(path)
+		if err != nil {
+			return
+		}
+		if err := spec.Validate(); err != nil {
+			t.Fatalf("loaded spec fails Validate: %v", err)
+		}
+		if len(spec.Buses) == 0 {
+			t.Fatal("loaded spec has no buses")
+		}
+	})
 }
 
 func TestLoadSpecDefaults(t *testing.T) {

@@ -91,17 +91,10 @@ func (d *Daemon) warmup() error {
 		recs[i] = &divot.TelemetryRecorder{}
 		ls.link.SetSink(recs[i])
 	}
-	// The calibration budget (spec calib_parallelism, inheriting the engine
-	// Parallelism when 0) splits two-level: across links first, leftover
-	// workers handed to each link's enrollment series. A large fleet runs
-	// one link per worker; a small fleet spreads each link's captures over
-	// the spare workers. Both levels are bit-identical at any worker count.
-	effective := d.spec.CalibParallelism
-	if effective == 0 {
-		effective = d.sys.Config().Engine.Parallelism
-	}
-	across, within := pool.Split(effective, n)
-	pool.Run(n, across, func(_, i int) {
+	// Cold start fans out across links, one link per worker at the engine
+	// Parallelism; each link enrolls on its worker's goroutine. Results are
+	// bit-identical at any worker count.
+	pool.Run(n, pool.Workers(d.sys.Config().Engine.Parallelism), func(_, i int) {
 		ls := d.links[i]
 		if d.tryRestore(ls) {
 			warm[i] = true
@@ -109,7 +102,7 @@ func (d *Daemon) warmup() error {
 			d.calibratedN.Add(1)
 			return
 		}
-		if errs[i] = ls.link.CalibrateWith(within); errs[i] == nil {
+		if errs[i] = ls.link.Calibrate(); errs[i] == nil {
 			d.calibratedN.Add(1)
 		}
 	})

@@ -99,7 +99,7 @@ const inverterTableSize = 256
 //
 // An Inverter is immutable after Promote and safe for concurrent use; the
 // promotion itself must be single-goroutine (the measurement engine
-// guarantees this: only the measurement that owns the instrument promotes).
+// guarantees this: an instrument takes its measurements one at a time).
 type Inverter struct {
 	cdf   *stats.CompositeCDF
 	table *stats.InverseTable // nil until Promote

@@ -62,9 +62,7 @@ type Reflectometer struct {
 	// measurements. Clock-triggered probing revisits each bin with the same
 	// Vernier reference sequence every measurement, so from the second
 	// measurement on the bin's inverter is promoted to a tabulated CDF and
-	// reconstruction stops paying for erfc entirely. Only a measurement
-	// that owns the instrument writes it (series followers read it frozen),
-	// so no locking is needed.
+	// reconstruction stops paying for erfc entirely.
 	binInv []*Inverter
 	// binInvStore backs binInv with a single flat allocation so building the
 	// per-bin cache costs one slice instead of one heap Inverter per bin.
@@ -163,34 +161,24 @@ func (r *Reflectometer) MeasureInto(a *Arena, line *txline.Line, env txline.Envi
 // measureUnder runs the acquisition for a fixed environmental condition.
 //
 // Like the hardware iTDR, one capture takes its bins one after another on
-// the calling goroutine; concurrency lives at coarser units (the captures of
-// a series, links, wires). Every bin owns its trigger search, its trial
-// loop, and its inverse-map evaluation, and derives all of its randomness
-// (trigger pattern, EMI phase, PLL jitter, comparator noise) from its own
-// labelled child of the per-measurement stream, so a bin's draws never
-// depend on how many bins ran before it.
+// the calling goroutine; concurrency lives at coarser units (links, wires).
+// Every bin owns its trigger search, its trial loop, and its inverse-map
+// evaluation, and derives all of its randomness (trigger pattern, EMI phase,
+// PLL jitter, comparator noise) from its own labelled child of the
+// per-measurement stream, so a bin's draws never depend on how many bins ran
+// before it.
 func (r *Reflectometer) measureUnder(a *Arena, line *txline.Line, cond txline.Condition) Measurement {
 	r.seq++
-	return r.measureAt(a, line, cond, r.seq, false)
-}
-
-// measureAt is measureUnder for an explicit sequence number. shared marks a
-// measurement running concurrently with others on the same instrument (the
-// MeasureSeries fan-out): it must treat all instrument state — fwd, binInv,
-// the warmup — as frozen, reading but never writing it. The series
-// leader guarantees that state is fully built and promoted first, and the
-// eligibility gate (clock trigger, no injector) guarantees a shared
-// measurement never needs to mutate it.
-func (r *Reflectometer) measureAt(a *Arena, line *txline.Line, cond txline.Condition, seq uint64, shared bool) Measurement {
+	seq := r.seq
 	cfg := r.cfg
 	bins := cfg.Bins()
 	rate := cfg.EquivalentRate()
 
 	// Consult the fault injector first: environmental glitches must land
-	// before the line response is synthesized. Incrementing seq in the
-	// caller (rather than just before the per-measurement stream derivation
-	// below) changes nothing on the healthy path — no randomness is drawn in
-	// between.
+	// before the line response is synthesized. Incrementing seq first
+	// (rather than just before the per-measurement stream derivation
+	// below) changes nothing on the healthy path — no randomness is drawn
+	// in between.
 	var mf MeasurementFault
 	faulted := false
 	if r.inj != nil {
@@ -224,11 +212,9 @@ func (r *Reflectometer) measureAt(a *Arena, line *txline.Line, cond txline.Condi
 
 	// Fresh randomness for each measurement: the trigger pattern depends
 	// on the live traffic and the EMI aggressor drifts in phase, so
-	// neither may repeat identically between measurements. (Deriving the
-	// child reads only the parent's seed, so concurrent shared measurements
-	// never contend on envRN.)
+	// neither may repeat identically between measurements.
 	a.mStream.ReseedChildN(r.envRN, "measurement", seq)
-	if !shared && len(r.binInv) != bins {
+	if len(r.binInv) != bins {
 		r.binInv = make([]*Inverter, bins)
 		r.binInvStore = make([]Inverter, bins)
 	}
@@ -260,7 +246,6 @@ func (r *Reflectometer) measureAt(a *Arena, line *txline.Line, cond txline.Condi
 		clockPeriod: 1 / cfg.SampleClockHz,
 		binStride:   binStride,
 		wu:          r.wu,
-		shared:      shared,
 	}
 	for m := 0; m < bins; m++ {
 		r.measureBin(a, m)
@@ -270,8 +255,18 @@ func (r *Reflectometer) measureAt(a *Arena, line *txline.Line, cond txline.Condi
 	for _, c := range a.binCycles {
 		cycles += c
 	}
-	if !shared {
-		r.emitMeasurement(seq, a.saturated)
+	if r.sink != nil {
+		sat := 0
+		for _, s := range a.saturated {
+			if s {
+				sat++
+			}
+		}
+		r.sink.Emit(telemetry.Event{
+			Kind: telemetry.EventMeasurement,
+			Link: r.link, Side: r.side,
+			Round: seq, SatBins: sat,
+		})
 	}
 	return Measurement{
 		IIP:        a.out,
@@ -294,27 +289,6 @@ type binCtx struct {
 	clockPeriod float64
 	binStride   int
 	wu          *warmup
-	shared      bool
-}
-
-// emitMeasurement publishes the per-measurement telemetry event. The series
-// fan-out calls it from the ordered hand-off so events keep their exact
-// sequential order.
-func (r *Reflectometer) emitMeasurement(seq uint64, saturated []bool) {
-	if r.sink == nil {
-		return
-	}
-	sat := 0
-	for _, s := range saturated {
-		if s {
-			sat++
-		}
-	}
-	r.sink.Emit(telemetry.Event{
-		Kind: telemetry.EventMeasurement,
-		Link: r.link, Side: r.side,
-		Round: seq, SatBins: sat,
-	})
 }
 
 // measureBin acquires one ETS phase bin: trigger search, trial loop, and
@@ -436,14 +410,6 @@ func (r *Reflectometer) measureBin(a *Arena, m int) {
 	// still cheaper than before thanks to the sorted, windowed CDF.
 	inv := r.binInv[m]
 	switch {
-	case c.shared:
-		// Shared measurements run after the series leader built and promoted
-		// every bin's inverter, so the cache is frozen and always hits; the
-		// rebuild below is defensive (unreachable under the clock-trigger
-		// eligibility gate) and deliberately leaves instrument state alone.
-		if inv == nil || !inv.Matches(refs) {
-			inv = r.apc.NewInverter(refs)
-		}
 	case inv == nil || !inv.Matches(refs):
 		// Cache miss: rebuild in place into the flat per-bin store — one
 		// slice for all bins instead of a heap Inverter per bin, and with a

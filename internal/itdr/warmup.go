@@ -95,7 +95,7 @@ func warmupFor(cfg Config, probe txline.Probe) *warmup {
 
 // newWarmup precomputes the shared acquisition state. Every expression below
 // mirrors the per-measurement code byte for byte: the forward edge matches
-// measureAt's lazy StepEdge, the trial times and Level calls match
+// measureUnder's lazy StepEdge, the trial times and Level calls match
 // measureBin's clock-triggered loop, and the CDF construction matches
 // APC.NewInverter.
 func newWarmup(cfg Config, probe txline.Probe) *warmup {

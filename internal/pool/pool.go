@@ -1,7 +1,8 @@
 // Package pool provides the bounded, deterministic worker fan-out used by
-// every parallel layer of the reproduction: the captures of an enrollment
-// series, rigs of an experiment fleet, wires of a multi-wire bus, and links
-// of a monitored system.
+// every parallel layer of the reproduction: rigs and trials of an
+// experiment, wires of a multi-wire bus, and links of a monitored system or
+// a daemon's cold start. The unit of work is always an independent
+// instrument; one link's captures run in order on one goroutine.
 //
 // The pool makes no ordering promises about *execution*; determinism is a
 // contract on the tasks instead: fn(i) must depend only on i (each task
@@ -73,27 +74,4 @@ func Run(n, workers int, fn func(worker, i int)) {
 	if r := panicked.Load(); r != nil {
 		panic(*r)
 	}
-}
-
-// Split divides a total worker budget between `tasks` outer tasks and the
-// inner work each task fans out itself: outer = min(total, tasks) tasks run
-// concurrently, each with inner = total/outer workers for its own fan-out.
-// This is the two-level schedule used by fleet cold calibration (across
-// links × within links): with more links than workers every worker runs
-// whole links (inner 1), with few links the budget flows inside them.
-// total is normalized through Workers first, so <= 0 means the machine.
-func Split(total, tasks int) (outer, inner int) {
-	total = Workers(total)
-	if tasks < 1 {
-		tasks = 1
-	}
-	outer = total
-	if outer > tasks {
-		outer = tasks
-	}
-	inner = total / outer
-	if inner < 1 {
-		inner = 1
-	}
-	return outer, inner
 }
