@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -73,12 +74,18 @@ func main() {
 		return
 	}
 
-	fmt.Printf("DIVOT reproduction bench — mode=%s seed=%d — %d experiment(s)\n\n",
-		m, *seed, len(entries))
+	writeTables(os.Stdout, entries, *seed, m)
+}
+
+// writeTables prints each experiment's table followed by a "(<id> in <t>s)"
+// timing line; full_results.txt is this output for -mode full -seed 42.
+func writeTables(w io.Writer, entries []exper.Entry, seed uint64, m exper.Mode) {
+	fmt.Fprintf(w, "DIVOT reproduction bench — mode=%s seed=%d — %d experiment(s)\n\n",
+		m, seed, len(entries))
 	for _, e := range entries {
 		start := time.Now()
-		r := e.Generator(*seed, m)
-		fmt.Print(r.String())
-		fmt.Printf("(%s in %.1fs)\n\n", e.ID, time.Since(start).Seconds())
+		r := e.Generator(seed, m)
+		fmt.Fprint(w, r.String())
+		fmt.Fprintf(w, "(%s in %.1fs)\n\n", e.ID, time.Since(start).Seconds())
 	}
 }
