@@ -33,7 +33,7 @@ func benchPack(b *testing.B, nd, nb int) *Herd {
 		for i := lo; i < hi; i++ {
 			spec.Buses = append(spec.Buses, daemon.BusSpec{ID: fmt.Sprintf("dimm%06d", i)})
 		}
-		d, err := daemon.NewWithConfig(spec, lightConfig())
+		d, err := newPackDaemon(spec)
 		if err != nil {
 			b.Fatalf("daemon %d: %v", di, err)
 		}

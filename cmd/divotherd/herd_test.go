@@ -30,6 +30,17 @@ func lightConfig() divot.Config {
 	return cfg
 }
 
+// newPackDaemon builds a divotd on light instruments and warms it up, as
+// divotd's Run does before it starts the schedulers.
+func newPackDaemon(spec daemon.Spec) (*daemon.Daemon, error) {
+	cfg := lightConfig()
+	d, err := daemon.New(spec, daemon.Options{Config: &cfg})
+	if err != nil {
+		return nil, err
+	}
+	return d, d.Warmup()
+}
+
 // packServer is one in-process divotd behind a real TCP listener that tests
 // can kill and resurrect at the same address — the lifecycle a herd sees when
 // a daemon dies and rejoins.
@@ -49,7 +60,7 @@ func startPackServer(t testing.TB, buses []string) *packServer {
 	for _, id := range buses {
 		spec.Buses = append(spec.Buses, daemon.BusSpec{ID: id})
 	}
-	d, err := daemon.NewWithConfig(spec, lightConfig())
+	d, err := newPackDaemon(spec)
 	if err != nil {
 		t.Fatalf("building pack daemon: %v", err)
 	}
@@ -363,7 +374,7 @@ func TestHerdFederationMismatch(t *testing.T) {
 	// directly.
 	spec := daemon.Spec{Seed: 7, Listen: "127.0.0.1:0", IntervalMS: 60_000, FederationID: "blue"}
 	spec.Buses = []daemon.BusSpec{{ID: "solo"}}
-	d, err := daemon.NewWithConfig(spec, lightConfig())
+	d, err := newPackDaemon(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,14 +18,24 @@ import (
 // acquisition window (~45 ETS bins instead of ~343), few trials per bin, a
 // fixed tamper threshold (no auto-calibration rounds), and shallow
 // enrollment.
-func lightConfig() divot.Config {
+func lightConfig() *divot.Config {
 	cfg := divot.DefaultConfig()
 	cfg.Engine.ITDR.WindowSec = 0.5e-9
 	cfg.Engine.ITDR.TrialsPerBin = 5
 	cfg.Engine.TamperThreshold = 1e-6
 	cfg.Engine.EnrollMeasurements = 2
 	cfg.Engine.Parallelism = 1
-	return cfg
+	return &cfg
+}
+
+// newWarm builds a daemon with New and warms it up, as divotd's Run does
+// before it starts the schedulers.
+func newWarm(spec Spec, opts Options) (*Daemon, error) {
+	d, err := New(spec, opts)
+	if err != nil {
+		return nil, err
+	}
+	return d, d.Warmup()
 }
 
 // benchSpec builds an n-bus spec with a long interval (the benchmarks drive
@@ -54,7 +64,7 @@ func BenchmarkFleetScheduler(b *testing.B) {
 			if testing.Short() && n > 100 {
 				b.Skipf("skipping %d-bus fleet in -short mode", n)
 			}
-			d, err := NewWithConfig(benchSpec(n, 0), lightConfig())
+			d, err := newWarm(benchSpec(n, 0), Options{Config: lightConfig()})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -88,7 +98,7 @@ func BenchmarkAttest(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			cfg := divot.DefaultConfig()
 			cfg.Engine.Parallelism = 1
-			d, err := NewWithConfig(benchSpec(1, mode.staleMS), cfg)
+			d, err := newWarm(benchSpec(1, mode.staleMS), Options{Config: &cfg})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -157,7 +167,7 @@ func BenchmarkDaemonStartup(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := NewWithConfig(spec, lightConfig()); err != nil {
+			if _, err := newWarm(spec, Options{Config: lightConfig()}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -168,7 +178,7 @@ func BenchmarkDaemonStartup(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		d, err := NewWithStore(spec, lightConfig(), seedBackend)
+		d, err := newWarm(spec, Options{Config: lightConfig(), Backend: seedBackend})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -183,7 +193,7 @@ func BenchmarkDaemonStartup(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			d, err := NewWithStore(spec, lightConfig(), backend)
+			d, err := newWarm(spec, Options{Config: lightConfig(), Backend: backend})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -206,7 +216,7 @@ func BenchmarkFleetHealth(b *testing.B) {
 		{name: "warm", staleMS: 3_600_000},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			d, err := NewWithConfig(benchSpec(100, mode.staleMS), lightConfig())
+			d, err := newWarm(benchSpec(100, mode.staleMS), Options{Config: lightConfig()})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -246,7 +256,7 @@ func BenchmarkFleetColdStart(b *testing.B) {
 			spec := benchSpec(n, 0)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				d, err := NewDaemon(spec)
+				d, err := newWarm(spec, Options{})
 				if err != nil {
 					b.Fatal(err)
 				}

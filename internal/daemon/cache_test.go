@@ -48,7 +48,7 @@ func attestFleet(t *testing.T, base string) attest.AttestResponse {
 // running, the first attestation measures (miss) and the second is served
 // from the stored view (hit) with the same verdict, flagged Cached.
 func TestAttestCacheHitAfterMiss(t *testing.T) {
-	d, err := NewDaemon(cacheSpec(t, ""))
+	d, err := newWarm(cacheSpec(t, ""), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestAttestCacheDisabledByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDaemon(spec)
+	d, err := newWarm(spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestAttestCacheInvalidation(t *testing.T) {
 		telemetry.EventMonitorError, telemetry.EventAlert,
 		telemetry.EventGate, telemetry.EventAttack,
 	}
-	d, err := NewDaemon(cacheSpec(t, ""))
+	d, err := newWarm(cacheSpec(t, ""), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestAttestCacheInvalidation(t *testing.T) {
 func TestAttestCacheNeverServesStaleOK(t *testing.T) {
 	spec := cacheSpec(t, `,
 		{"id": "dimm1", "attack": {"kind": "interposer", "after_rounds": 2, "position": 0.1}}`)
-	d, err := NewDaemon(spec)
+	d, err := newWarm(spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestShardAssignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDaemon(spec)
+	d, err := newWarm(spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestShardSchedulerRoundsEveryBus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDaemon(spec)
+	d, err := newWarm(spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,14 +8,14 @@ import (
 )
 
 // coldStartAt cold-starts an n-bus fleet at the given parallelism (spec and
-// engine alike; NewWithStore takes the engine's) on light instruments.
+// engine alike; an injected config carries the engine's) on light instruments.
 func coldStartAt(t *testing.T, n, parallelism int, backend store.Backend) (*Daemon, Spec) {
 	t.Helper()
 	spec := benchSpec(n, 0)
 	spec.Parallelism = parallelism
 	cfg := lightConfig()
 	cfg.Engine.Parallelism = parallelism
-	d, err := NewWithStore(spec, cfg, backend)
+	d, err := newWarm(spec, Options{Config: cfg, Backend: backend})
 	if err != nil {
 		t.Fatal(err)
 	}

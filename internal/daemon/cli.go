@@ -42,7 +42,7 @@ func Main(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	// New defers restore/calibration to Run, which binds the socket first and
 	// serves /readyz progress while the fleet warms.
-	d, err := New(spec)
+	d, err := New(spec, Options{})
 	if err != nil {
 		fmt.Fprintf(stderr, "divotd: %v\n", err)
 		return 1

@@ -86,7 +86,8 @@ type Daemon struct {
 	// ready flips once every bus is calibrated or warm-restored; until then
 	// every route except /readyz and /metrics answers 503 with a Retry-After
 	// header. calibratedN/warmN are the /readyz progress counters. warmed
-	// makes warmup idempotent (constructors warm eagerly, Run warms lazily).
+	// makes Warmup idempotent (tests warm explicitly after New, Run warms
+	// after its socket opens).
 	ready       atomic.Bool
 	calibratedN atomic.Int64
 	warmN       atomic.Int64
@@ -240,67 +241,42 @@ func (s alertSink) Emit(ev telemetry.Event) {
 	}
 }
 
-// NewDaemon builds and brings up the fleet described by spec: every bus is
-// restored from its enrollment snapshot (when the spec names a state_dir
-// holding a valid one) or cold-calibrated before NewDaemon returns, so the
-// API never exposes an uncalibrated link.
-func NewDaemon(spec Spec) (*Daemon, error) {
-	d, err := New(spec)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.warmup(); err != nil {
-		return nil, err
-	}
-	return d, nil
+// Options are the values a caller may inject into New; the zero value builds
+// the daemon divotd runs.
+type Options struct {
+	// Config is the engine configuration. Nil derives it from the spec: the
+	// defaults with the spec's parallelism and auth threshold. A non-nil
+	// config is used as given (the spec's parallelism and auth threshold are
+	// ignored in its favour), so benchmarks can run large fleets on
+	// deliberately light instruments.
+	Config *divot.Config
+	// Backend is the persistence backend. Nil opens (and owns) the embedded
+	// file backend in the spec's state_dir when it names one, recovering any
+	// torn WAL tails from a crash. An injected backend (tests use
+	// store.Memory; the spec's state_dir is then ignored) stays owned by the
+	// caller: the daemon syncs it at shutdown but does not close it.
+	Backend store.Backend
 }
 
 // New builds the fleet without bringing it up: calibration/restore is
-// deferred to Run, which serves /readyz (and 503s everything else) while the
-// fleet warms. divotd's main uses it so a 1000-bus cold boot is observable
-// instead of a silent multi-second gap before the socket opens.
-func New(spec Spec) (*Daemon, error) {
-	cfg := divot.DefaultConfig()
-	cfg.Engine.Parallelism = spec.Parallelism
-	if spec.AuthThreshold > 0 {
-		cfg.Engine.AuthThreshold = spec.AuthThreshold
+// deferred to Warmup, which Run calls after its socket opens so /readyz
+// (and a 503 everywhere else) is served while the fleet warms. divotd's main
+// uses it that way, so a 1000-bus cold boot is observable instead of a silent
+// multi-second gap before the socket opens. Callers that serve the Handler
+// without Run call Warmup first, so the API never exposes an uncalibrated
+// link.
+func New(spec Spec, opts Options) (*Daemon, error) {
+	var cfg divot.Config
+	if opts.Config != nil {
+		cfg = *opts.Config
+	} else {
+		cfg = divot.DefaultConfig()
+		cfg.Engine.Parallelism = spec.Parallelism
+		if spec.AuthThreshold > 0 {
+			cfg.Engine.AuthThreshold = spec.AuthThreshold
+		}
 	}
-	return newDaemon(spec, cfg, nil)
-}
-
-// NewWithConfig is NewDaemon with the engine configuration exposed, so
-// benchmarks (here and in cmd/divotherd) can run large fleets on
-// deliberately light instruments. The spec's Parallelism is ignored in
-// favour of cfg's.
-func NewWithConfig(spec Spec, cfg divot.Config) (*Daemon, error) {
-	d, err := newDaemon(spec, cfg, nil)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.warmup(); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
-// NewWithStore is NewWithConfig with the persistence backend injected
-// (tests use store.Memory; spec.StateDir is ignored). The backend stays
-// owned by the caller: the daemon syncs it at shutdown but does not close it.
-func NewWithStore(spec Spec, cfg divot.Config, backend store.Backend) (*Daemon, error) {
-	d, err := newDaemon(spec, cfg, backend)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.warmup(); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
-// newDaemon builds the daemon without warming the fleet up. When backend is
-// nil and the spec names a state_dir, the daemon opens (and owns) the
-// embedded file backend there, recovering any torn WAL tails from a crash.
-func newDaemon(spec Spec, cfg divot.Config, backend store.Backend) (*Daemon, error) {
+	backend := opts.Backend
 	// A scripted attack off the line would panic in the scheduler when it
 	// mounts; refuse it here, where the line length is known.
 	for _, b := range spec.Buses {
@@ -518,7 +494,7 @@ func (d *Daemon) Run(ctx context.Context, logw io.Writer) error {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 
-	if err := d.warmup(); err != nil {
+	if err := d.Warmup(); err != nil {
 		srv.Close() //nolint:errcheck // surfacing the warmup error
 		return err
 	}

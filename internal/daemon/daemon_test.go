@@ -72,7 +72,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDaemon(spec)
+	d, err := newWarm(spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestDaemonAuditLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDaemon(spec)
+	d, err := newWarm(spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

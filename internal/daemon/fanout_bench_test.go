@@ -33,7 +33,7 @@ func cpuSeconds(b *testing.B) float64 {
 func BenchmarkEventFanout(b *testing.B) {
 	const nLinks = 64
 	const linksPerWatcher = 4
-	d, err := NewWithConfig(benchSpec(nLinks, 0), lightConfig())
+	d, err := newWarm(benchSpec(nLinks, 0), Options{Config: lightConfig()})
 	if err != nil {
 		b.Fatal(err)
 	}

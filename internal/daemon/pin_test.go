@@ -12,7 +12,7 @@ import (
 )
 
 // TestEnrollmentSnapshotPin pins the persisted enrollment-snapshot payloads
-// of a 4-bus fleet cold-started through NewWithStore, at the default engine
+// of a 4-bus fleet cold-started into a store.Memory backend, at the default engine
 // configuration and at the light benchmark one. The snapshot is what a
 // restarted daemon warm-restores from, so these digests are the fleet-level
 // output contract: a change below the daemon (physics, instrument,
@@ -25,17 +25,18 @@ func TestEnrollmentSnapshotPin(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("snapshot pins are recorded on amd64; %s may fuse multiply-add", runtime.GOARCH)
 	}
+	defaultCfg := divot.DefaultConfig()
 	for _, tc := range []struct {
 		name string
-		cfg  divot.Config
+		cfg  *divot.Config
 		want string
 	}{
-		{"default", divot.DefaultConfig(), "f4c524c20dbd294167596276626633fbd9a8582dd40515e53dbbb8646d99befa"},
+		{"default", &defaultCfg, "f4c524c20dbd294167596276626633fbd9a8582dd40515e53dbbb8646d99befa"},
 		{"light", lightConfig(), "eb608d02948c5982f2fc6ec62dbbc995864b075d13d93d9dfb360129b96ad2e1"},
 	} {
 		spec := benchSpec(4, 0)
 		backend := store.NewMemory()
-		d, err := NewWithStore(spec, tc.cfg, backend)
+		d, err := newWarm(spec, Options{Config: tc.cfg, Backend: backend})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -121,7 +121,7 @@ func TestSpecAcceptsAdaptiveTapAndThreshold(t *testing.T) {
 	if spec.AuthThreshold != 0.62 {
 		t.Errorf("AuthThreshold = %v, want 0.62", spec.AuthThreshold)
 	}
-	d, err := New(spec)
+	d, err := New(spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestAttackPositionBounds(t *testing.T) {
 				if err := spec.Validate(); err != nil {
 					t.Fatalf("Validate: %v", err)
 				}
-				d, err := NewWithStore(spec, cfg, store.NewMemory())
+				d, err := newWarm(spec, Options{Config: cfg, Backend: store.NewMemory()})
 				if !ok[p.name] {
 					if err == nil {
 						t.Fatalf("%s at %g m on a %g m line was accepted", kind, p.pos, length)

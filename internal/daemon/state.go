@@ -71,14 +71,15 @@ func computeSpecHash(seed uint64, cfg divot.Config) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// warmup brings every bus to calibrated: restored from a validated enrollment
+// Warmup brings every bus to calibrated: restored from a validated enrollment
 // snapshot when the backend holds one for the current spec hash, cold
 // calibrated otherwise. A snapshot that is missing, corrupt, stale, or fails
 // engine validation is never trusted — the bus silently falls back to cold
 // calibration. Like calibrateFleet before it, each link's telemetry is
 // buffered privately and drained in spec order, so startup produces the same
-// audit byte sequence at every worker count.
-func (d *Daemon) warmup() error {
+// audit byte sequence at every worker count. Once it has succeeded, further
+// calls do nothing.
+func (d *Daemon) Warmup() error {
 	if d.warmed {
 		return nil
 	}

@@ -22,7 +22,7 @@ func stateSpec(n int) Spec {
 // stateConfig is a fast engine whose monitoring rounds stay clean — unlike
 // lightConfig, whose 5-trial bins are too coarse to keep authenticating
 // (fine for benchmarks, fatal for tests that assert "ok" verdicts).
-func stateConfig() divot.Config {
+func stateConfig() *divot.Config {
 	cfg := lightConfig()
 	cfg.Engine.ITDR.TrialsPerBin = 40
 	return cfg
@@ -46,7 +46,7 @@ func TestWarmRestart(t *testing.T) {
 	backend := store.NewMemory()
 	spec := stateSpec(3)
 
-	d1, err := NewWithStore(spec, stateConfig(), backend)
+	d1, err := newWarm(spec, Options{Config: stateConfig(), Backend: backend})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestWarmRestart(t *testing.T) {
 		wantHealth[ls.id] = d1.view(ls)
 	}
 
-	d2, err := NewWithStore(spec, stateConfig(), backend)
+	d2, err := newWarm(spec, Options{Config: stateConfig(), Backend: backend})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestWarmRestart(t *testing.T) {
 func TestWarmRestartPreservesReactorState(t *testing.T) {
 	backend := store.NewMemory()
 	spec := stateSpec(1)
-	d1, err := NewWithStore(spec, stateConfig(), backend)
+	d1, err := newWarm(spec, Options{Config: stateConfig(), Backend: backend})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestWarmRestartPreservesReactorState(t *testing.T) {
 	}
 	d1.persistFleet()
 
-	d2, err := NewWithStore(spec, stateConfig(), backend)
+	d2, err := newWarm(spec, Options{Config: stateConfig(), Backend: backend})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,14 +152,14 @@ func TestWarmRestartPreservesReactorState(t *testing.T) {
 func TestCorruptSnapshotFallsBackCold(t *testing.T) {
 	backend := store.NewMemory()
 	spec := stateSpec(3)
-	d1, err := NewWithStore(spec, stateConfig(), backend)
+	d1, err := newWarm(spec, Options{Config: stateConfig(), Backend: backend})
 	if err != nil {
 		t.Fatal(err)
 	}
 	d1.persistFleet()
 	backend.CorruptSnapshot(d1.links[1].id)
 
-	d2, err := NewWithStore(spec, stateConfig(), backend)
+	d2, err := newWarm(spec, Options{Config: stateConfig(), Backend: backend})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestCorruptSnapshotFallsBackCold(t *testing.T) {
 	}
 	// The cold-calibrated bus's fresh enrollment replaced the corrupt
 	// snapshot, so the next restart is fully warm again.
-	d3, err := NewWithStore(spec, stateConfig(), backend)
+	d3, err := newWarm(spec, Options{Config: stateConfig(), Backend: backend})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestCorruptSnapshotFallsBackCold(t *testing.T) {
 func TestSpecChangeInvalidatesSnapshots(t *testing.T) {
 	backend := store.NewMemory()
 	spec := stateSpec(2)
-	d1, err := NewWithStore(spec, stateConfig(), backend)
+	d1, err := newWarm(spec, Options{Config: stateConfig(), Backend: backend})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestSpecChangeInvalidatesSnapshots(t *testing.T) {
 
 	spec2 := spec
 	spec2.Seed = spec.Seed + 1
-	d2, err := NewWithStore(spec2, stateConfig(), backend)
+	d2, err := newWarm(spec2, Options{Config: stateConfig(), Backend: backend})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,11 +217,11 @@ func TestSpecHashIgnoresParallelism(t *testing.T) {
 	cfg1 := lightConfig()
 	cfg2 := lightConfig()
 	cfg2.Engine.Parallelism = 8
-	h1, err := computeSpecHash(7, cfg1)
+	h1, err := computeSpecHash(7, *cfg1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2, err := computeSpecHash(7, cfg2)
+	h2, err := computeSpecHash(7, *cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestSpecHashIgnoresParallelism(t *testing.T) {
 		t.Fatal("parallelism change invalidated the spec hash")
 	}
 	cfg2.Engine.AuthThreshold = 0.5
-	h3, err := computeSpecHash(7, cfg2)
+	h3, err := computeSpecHash(7, *cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestWarmRestartFromDiskWithTornWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d1, err := NewWithStore(spec, stateConfig(), b1)
+	d1, err := newWarm(spec, Options{Config: stateConfig(), Backend: b1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestWarmRestartFromDiskWithTornWAL(t *testing.T) {
 	if b2.HistoryWAL().TruncatedBytes() != 6 {
 		t.Fatalf("torn tail: truncated %d bytes, want 6", b2.HistoryWAL().TruncatedBytes())
 	}
-	d2, err := NewWithStore(spec, stateConfig(), b2)
+	d2, err := newWarm(spec, Options{Config: stateConfig(), Backend: b2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestWarmRestartFromDiskWithTornWAL(t *testing.T) {
 // while every other route answers 503 with a Retry-After header; after
 // warmup the gate opens.
 func TestReadyGating(t *testing.T) {
-	d, err := newDaemon(stateSpec(2), lightConfig(), nil)
+	d, err := New(stateSpec(2), Options{Config: lightConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +348,7 @@ func TestReadyGating(t *testing.T) {
 		t.Fatalf("/metrics gated during warmup: %d", resp.code)
 	}
 
-	if err := d.warmup(); err != nil {
+	if err := d.Warmup(); err != nil {
 		t.Fatal(err)
 	}
 	resp = getRaw(t, srv.URL+"/readyz")
@@ -365,7 +365,7 @@ func TestReadyGating(t *testing.T) {
 
 // TestHistoryEndpoint: per-bus score history over HTTP, unknown bus 404s.
 func TestHistoryEndpoint(t *testing.T) {
-	d, err := NewWithConfig(stateSpec(1), stateConfig())
+	d, err := newWarm(stateSpec(1), Options{Config: stateConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +400,7 @@ func TestHistoryEndpoint(t *testing.T) {
 // TestHistoryRingBounded: the in-memory ring retains the newest histRingCap
 // samples and drops the oldest.
 func TestHistoryRingBounded(t *testing.T) {
-	d, err := NewWithConfig(stateSpec(1), stateConfig())
+	d, err := newWarm(stateSpec(1), Options{Config: stateConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +422,7 @@ func TestHistoryRingBounded(t *testing.T) {
 // audit trail lands in the backend's segmented log, line-aligned.
 func TestAuditGoesToSegmentedLog(t *testing.T) {
 	backend := store.NewMemory()
-	d, err := NewWithStore(stateSpec(1), stateConfig(), backend)
+	d, err := newWarm(stateSpec(1), Options{Config: stateConfig(), Backend: backend})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func newTestDaemon(t *testing.T, specBody string) *Daemon {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDaemon(spec)
+	d, err := newWarm(spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
