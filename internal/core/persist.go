@@ -25,6 +25,9 @@ func (e *Endpoint) ImportEnrollment(r io.Reader) error {
 	if err != nil {
 		return fmt.Errorf("core: %s endpoint import: %w", e.Side, err)
 	}
+	if err := e.checkGrid(f.Raw.Rate, f.Raw.Len()); err != nil {
+		return fmt.Errorf("core: import: %w", err)
+	}
 	if err := e.store.Enroll(enrollKey, f); err != nil {
 		return fmt.Errorf("core: %s endpoint import: %w", e.Side, err)
 	}
@@ -54,5 +57,16 @@ func (l *Link) RestoreCalibration(cpu, module io.Reader) error {
 		pair.e.Gate.Set(true)
 	}
 	l.calibrated = true
+	return nil
+}
+
+// checkGrid rejects a stored fingerprint that is not on the endpoint's
+// instrument grid (equivalent-time sample rate and ETS bin count): scoring it
+// against a fresh capture would otherwise panic on the mismatch.
+func (e *Endpoint) checkGrid(rate float64, bins int) error {
+	if want := e.refl.Config().EquivalentRate(); rate != want || bins != e.bins {
+		return fmt.Errorf("%s endpoint: fingerprint grid (%v Hz, %d bins) does not match the instrument's (%v Hz, %d bins)",
+			e.Side, rate, bins, want, e.bins)
+	}
 	return nil
 }

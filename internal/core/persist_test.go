@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -71,6 +73,53 @@ func TestImportRejectsGarbage(t *testing.T) {
 	if err := l.RestoreCalibration(strings.NewReader("junk"), strings.NewReader("junk")); err == nil {
 		t.Error("expected restore error")
 	}
+}
+
+// TestRestoreCalibrationRejectsWrongGrid: an EPROM image cut short or
+// recorded at another sample rate is refused with an error instead of
+// panicking on the first capture scored against it.
+func TestRestoreCalibrationRejectsWrongGrid(t *testing.T) {
+	first := newLink(t, 24)
+	if err := first.Calibrate(); err != nil {
+		t.Fatal(err)
+	}
+	f, ok := first.CPU.store.Lookup(enrollKey)
+	if !ok {
+		t.Fatal("no CPU enrollment")
+	}
+	var modROM bytes.Buffer
+	if err := first.Module.ExportEnrollment(&modROM); err != nil {
+		t.Fatal(err)
+	}
+	image := func(rate float64, samples []float64) *strings.Reader {
+		return strings.NewReader(fmt.Sprintf(`{"version":1,"rate":%v,"samples":%s}`, rate, floats(samples)))
+	}
+	for name, cpuROM := range map[string]*strings.Reader{
+		"half-length": image(f.Raw.Rate, f.Raw.Samples[:f.Raw.Len()/2]),
+		"double-rate": image(2*f.Raw.Rate, f.Raw.Samples),
+	} {
+		t.Run(name, func(t *testing.T) {
+			l, err := NewLinkOver("bus0", DefaultConfig(), first.Line, rng.New(24))
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = l.RestoreCalibration(cpuROM, bytes.NewReader(modROM.Bytes()))
+			if err == nil || !strings.Contains(err.Error(), "grid") {
+				t.Fatalf("err = %v, want a grid mismatch", err)
+			}
+			if l.Calibrated() {
+				t.Fatal("link calibrated after a rejected image")
+			}
+		})
+	}
+}
+
+func floats(xs []float64) string {
+	parts := make([]string, len(xs))
+	for i, x := range xs {
+		parts[i] = strconv.FormatFloat(x, 'g', -1, 64)
+	}
+	return "[" + strings.Join(parts, ",") + "]"
 }
 
 func TestEnrollmentIntegrityMatters(t *testing.T) {

@@ -125,12 +125,13 @@ func (e *Endpoint) snapshot() (EndpointSnapshot, error) {
 }
 
 // validate rejects snapshots that cannot have come from a compatible link.
-func (s EndpointSnapshot) validate(side Side, bins int) error {
+func (s EndpointSnapshot) validate(e *Endpoint) error {
+	side, bins := e.Side, e.bins
 	if s.Rate <= 0 || len(s.Samples) == 0 {
 		return fmt.Errorf("%s endpoint: corrupt fingerprint (rate %v, %d samples)", side, s.Rate, len(s.Samples))
 	}
-	if len(s.Samples) != bins {
-		return fmt.Errorf("%s endpoint: fingerprint has %d bins, instrument has %d", side, len(s.Samples), bins)
+	if err := e.checkGrid(s.Rate, len(s.Samples)); err != nil {
+		return err
 	}
 	if s.PeakThreshold <= 0 {
 		return fmt.Errorf("%s endpoint: non-positive tamper threshold %v", side, s.PeakThreshold)
@@ -162,10 +163,10 @@ func (l *Link) Restore(s LinkSnapshot) error {
 	if s.ID != l.ID {
 		return fmt.Errorf("link %q: snapshot belongs to link %q", l.ID, s.ID)
 	}
-	if err := s.CPU.validate(SideCPU, l.CPU.bins); err != nil {
+	if err := s.CPU.validate(l.CPU); err != nil {
 		return fmt.Errorf("link %q: %w", l.ID, err)
 	}
-	if err := s.Module.validate(SideModule, l.Module.bins); err != nil {
+	if err := s.Module.validate(l.Module); err != nil {
 		return fmt.Errorf("link %q: %w", l.ID, err)
 	}
 	if err := l.CPU.restore(s.CPU, l.cfg); err != nil {

@@ -142,6 +142,7 @@ func TestRestoreRejectsBadSnapshots(t *testing.T) {
 		{"wrong-link", func(s *LinkSnapshot) { s.ID = "other" }, "belongs to"},
 		{"no-samples", func(s *LinkSnapshot) { s.CPU.Samples = nil }, "corrupt fingerprint"},
 		{"bin-count", func(s *LinkSnapshot) { s.CPU.Samples = s.CPU.Samples[:4] }, "bins"},
+		{"rate", func(s *LinkSnapshot) { s.CPU.Rate *= 2 }, "grid"},
 		{"threshold", func(s *LinkSnapshot) { s.Module.PeakThreshold = 0 }, "threshold"},
 		{"mask-range", func(s *LinkSnapshot) { s.CPU.MaskedBins = []int{1 << 20} }, "out of range"},
 		{"negative", func(s *LinkSnapshot) { s.Module.Failures = -1 }, "negative"},
