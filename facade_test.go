@@ -196,20 +196,6 @@ func TestFacadeConstructorErrors(t *testing.T) {
 	}
 }
 
-func TestFixedPointScorerFacade(t *testing.T) {
-	sys := NewSystem(42, DefaultConfig())
-	l := sys.MustNewLink("bus0")
-	if err := l.Calibrate(); err != nil {
-		t.Fatal(err)
-	}
-	// Integer scoring through the public alias.
-	var s FixedPointScorer
-	s.Bits = 8
-	if _, err := s.Quantize(IIP{}); err == nil {
-		t.Error("invalid fingerprint should fail quantization")
-	}
-}
-
 func TestSimTimeReexports(t *testing.T) {
 	if SimMillisecond != 1000*SimMicrosecond || SimMicrosecond != 1000*SimNanosecond ||
 		SimNanosecond != 1000*SimPicosecond {

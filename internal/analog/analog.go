@@ -33,15 +33,9 @@ func DefaultCoupler() Coupler {
 	return Coupler{Factor: 0.3, Directivity: 0}
 }
 
-// Output combines the backward reflection and the forward incident waveform
-// into the voltage the comparator sees.
-func (c Coupler) Output(backward, forward *signal.Waveform) *signal.Waveform {
-	return c.OutputInto(nil, backward, forward)
-}
-
-// OutputInto is Output with a reusable destination (nil allocates a fresh
-// one), which must not alias either input; numerics are bit-identical to
-// Output.
+// OutputInto combines the backward reflection and the forward incident
+// waveform into the voltage the comparator sees, writing into a reusable
+// destination (nil allocates a fresh one) that must not alias either input.
 func (c Coupler) OutputInto(dst, backward, forward *signal.Waveform) *signal.Waveform {
 	dst = signal.ScaleInto(dst, backward, c.Factor)
 	if c.Directivity != 0 && forward != nil {

@@ -12,7 +12,7 @@ func TestCouplerOutput(t *testing.T) {
 	back := signal.FromSamples(1, []float64{1, 2})
 	fwd := signal.FromSamples(1, []float64{10, 10})
 	c := Coupler{Factor: 0.5, Directivity: 0.1}
-	out := c.Output(back, fwd)
+	out := c.OutputInto(nil, back, fwd)
 	// 0.5*back + 0.5*0.1*fwd
 	if math.Abs(out.Samples[0]-1.0) > 1e-12 {
 		t.Errorf("sample 0 = %v, want 1.0", out.Samples[0])
@@ -26,12 +26,12 @@ func TestIdealCouplerIgnoresForward(t *testing.T) {
 	back := signal.FromSamples(1, []float64{1})
 	fwd := signal.FromSamples(1, []float64{100})
 	c := Coupler{Factor: 0.2}
-	if got := c.Output(back, fwd).Samples[0]; math.Abs(got-0.2) > 1e-12 {
+	if got := c.OutputInto(nil, back, fwd).Samples[0]; math.Abs(got-0.2) > 1e-12 {
 		t.Errorf("ideal coupler output = %v, want 0.2", got)
 	}
 	// Nil forward wave is allowed.
 	c.Directivity = 0.1
-	if got := c.Output(back, nil).Samples[0]; math.Abs(got-0.2) > 1e-12 {
+	if got := c.OutputInto(nil, back, nil).Samples[0]; math.Abs(got-0.2) > 1e-12 {
 		t.Errorf("nil-forward output = %v, want 0.2", got)
 	}
 }

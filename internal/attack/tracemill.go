@@ -47,7 +47,3 @@ func (a *TraceMill) Apply(l *txline.Line) {
 // removing the attack leaves the full perturbation in place, matching the
 // permanence the paper observed for invasive tampering.
 func (a *TraceMill) Remove(*txline.Line) {}
-
-// DeltaResistance returns the series resistance the cut added, used by the
-// DC-resistance baseline model.
-func (a *TraceMill) DeltaResistance() float64 { return a.DeltaR }

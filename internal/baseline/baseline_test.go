@@ -158,7 +158,7 @@ func TestTraceMillPermanent(t *testing.T) {
 	if len(l.Perturbations()) == 0 {
 		t.Error("milled trace should stay damaged")
 	}
-	if mill.DeltaResistance() <= 0 {
+	if mill.DeltaR <= 0 {
 		t.Error("milling should add resistance")
 	}
 }

@@ -233,12 +233,3 @@ func SymbolBits(sym uint16) []uint8 {
 	}
 	return bits
 }
-
-// SymbolsToBits flattens a symbol stream into a bit stream.
-func SymbolsToBits(syms []uint16) []uint8 {
-	bits := make([]uint8, 0, len(syms)*10)
-	for _, s := range syms {
-		bits = append(bits, SymbolBits(s)...)
-	}
-	return bits
-}

@@ -64,7 +64,7 @@ func TestSymbolDisparityBounded(t *testing.T) {
 		for i := range data {
 			data[i] = gen(i)
 		}
-		bits := SymbolsToBits(enc.Encode(data))
+		bits := symbolsToBits(enc.Encode(data))
 		sum := 0
 		for i, b := range bits {
 			if b == 1 {
@@ -87,7 +87,7 @@ func TestRunLengthBounded(t *testing.T) {
 	stream := rng.New(5)
 	data := make([]byte, 4000)
 	stream.Bytes(data)
-	bits := SymbolsToBits(enc.Encode(data))
+	bits := symbolsToBits(enc.Encode(data))
 	run, last := 1, bits[0]
 	for _, b := range bits[1:] {
 		if b == last {
@@ -111,12 +111,12 @@ func TestTriggerDensityOn8b10b(t *testing.T) {
 		func() []byte { b := make([]byte, 2000); rng.New(6).Bytes(b); return b }(),
 	} {
 		var enc Encoder8b10b
-		bits := SymbolsToBits(enc.Encode(payload))
-		density := float64(TriggerOpportunities(bits)) / float64(len(bits))
+		bits := symbolsToBits(enc.Encode(payload))
+		density := float64(triggerOpportunities(bits)) / float64(len(bits))
 		if density < 0.15 {
 			t.Errorf("trigger density %v too sparse on 8b/10b stream", density)
 		}
-		ones := OnesDensity(bits)
+		ones := onesDensity(bits)
 		if math.Abs(ones-0.5) > 0.02 {
 			t.Errorf("ones density %v, want ~0.5", ones)
 		}
@@ -190,4 +190,13 @@ func TestSymbolBits(t *testing.T) {
 			t.Fatalf("bits = %v", bits)
 		}
 	}
+}
+
+// symbolsToBits flattens a symbol stream into its transmitted bit stream.
+func symbolsToBits(syms []uint16) []uint8 {
+	bits := make([]uint8, 0, len(syms)*10)
+	for _, s := range syms {
+		bits = append(bits, SymbolBits(s)...)
+	}
+	return bits
 }

@@ -49,20 +49,3 @@ func FuzzScrambler(f *testing.F) {
 		}
 	})
 }
-
-// FuzzPam4 checks symbol packing against arbitrary payloads.
-func FuzzPam4(f *testing.F) {
-	f.Add([]byte{0x1B, 0xE4})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		syms := BytesToPam4(data)
-		back := Pam4ToBytes(syms)
-		if !bytes.Equal(back, data) {
-			t.Fatal("PAM4 round trip mismatch")
-		}
-		for _, s := range syms {
-			if Pam4FromLevel(s.Level()) != s {
-				t.Fatal("level mapping not invertible")
-			}
-		}
-	})
-}

@@ -44,17 +44,10 @@ type Link struct {
 	scrambler *Scrambler
 	encoder   *Encoder8b10b
 	traffic   *TrafficGenerator
-	sent      int64
-	triggers  int64
 }
 
-// NewLink builds a scrambler-coded lane over the given line carrying the
-// given traffic.
-func NewLink(line *txline.Line, pattern TrafficPattern, stream *rng.Stream) *Link {
-	return NewLinkEncoded(line, pattern, EncodingScrambler, stream)
-}
-
-// NewLinkEncoded builds a lane with an explicit channel code.
+// NewLinkEncoded builds a lane over the given line carrying the given
+// traffic under the given channel code.
 func NewLinkEncoded(line *txline.Line, pattern TrafficPattern, enc Encoding, stream *rng.Stream) *Link {
 	return &Link{
 		Line:      line,
@@ -108,33 +101,5 @@ func (l *Link) Step() (launched uint8, trigger bool) {
 		panic("bus: link FIFO underrun after refill")
 	}
 	next, ok := l.Fifo.Peek(0)
-	l.sent++
-	trigger = ok && head == 1 && next == 0
-	if trigger {
-		l.triggers++
-	}
-	return head, trigger
-}
-
-// BitsSent returns the number of bits launched.
-func (l *Link) BitsSent() int64 { return l.sent }
-
-// TriggerRate returns the observed fraction of cycles offering a trigger.
-func (l *Link) TriggerRate() float64 {
-	if l.sent == 0 {
-		return 0
-	}
-	return float64(l.triggers) / float64(l.sent)
-}
-
-// MeasureTriggerDensity runs the lane for n bits and returns the observed
-// trigger rate — used to parameterize the iTDR's measurement-time model.
-func (l *Link) MeasureTriggerDensity(n int) float64 {
-	if n <= 0 {
-		panic(fmt.Sprintf("bus: non-positive sample size %d", n))
-	}
-	for i := 0; i < n; i++ {
-		l.Step()
-	}
-	return l.TriggerRate()
+	return head, ok && head == 1 && next == 0
 }

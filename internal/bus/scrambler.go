@@ -45,42 +45,3 @@ func BytesToBits(data []byte) []uint8 {
 	}
 	return bits
 }
-
-// BitsToBytes packs bits (MSB first) into bytes; the bit count must be a
-// multiple of 8.
-func BitsToBytes(bits []uint8) []byte {
-	if len(bits)%8 != 0 {
-		panic("bus: bit count not a multiple of 8")
-	}
-	out := make([]byte, len(bits)/8)
-	for i, b := range bits {
-		out[i/8] |= (b & 1) << (7 - i%8)
-	}
-	return out
-}
-
-// TriggerOpportunities counts the 1→0 transitions in the bit stream — the
-// launches the FIFO trigger can use (§II-E).
-func TriggerOpportunities(bits []uint8) int {
-	n := 0
-	for i := 0; i+1 < len(bits); i++ {
-		if bits[i] == 1 && bits[i+1] == 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// OnesDensity returns the fraction of ones in the bit stream.
-func OnesDensity(bits []uint8) float64 {
-	if len(bits) == 0 {
-		return 0
-	}
-	ones := 0
-	for _, b := range bits {
-		if b == 1 {
-			ones++
-		}
-	}
-	return float64(ones) / float64(len(bits))
-}

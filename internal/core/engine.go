@@ -307,10 +307,6 @@ func (e *Endpoint) Authenticated() bool { return e.authenticated }
 // injection attaches to (itdr.Reflectometer.SetInjector).
 func (e *Endpoint) Instrument() *itdr.Reflectometer { return e.refl }
 
-// Mask returns a copy of the endpoint's persistent dead-bin mask (nil when
-// no bin has been masked).
-func (e *Endpoint) Mask() fingerprint.BinMask { return e.mask.Clone() }
-
 // Observation is one monitored round's raw detection statistics at an
 // endpoint, before any threshold turns them into a verdict. The experiment
 // harness (internal/experiment) records these traces and sweeps the decision

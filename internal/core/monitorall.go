@@ -7,7 +7,7 @@ import (
 	"divot/internal/pool"
 )
 
-// MonitorAll runs one monitoring round on every link concurrently, with at
+// MonitorAllCtx runs one monitoring round on every link concurrently, with at
 // most `parallelism` worker goroutines (0 = runtime.GOMAXPROCS(0), 1 =
 // sequential). Each link owns disjoint instruments, random streams, gates and
 // alert history, so the rounds are independent and the combined outcome —
@@ -22,21 +22,16 @@ import (
 // The one sharing caveat: monitoring reads each endpoint's observed line but
 // never mutates it, so two links may safely observe the same physical line
 // (the cold-boot scenario). Mounting or removing attacks concurrently with
-// MonitorAll is a data race, exactly as it is with MonitorOnce.
+// MonitorAllCtx is a data race, exactly as it is with MonitorOnce.
 //
 // Telemetry: when links carry sinks, each link's events are buffered in a
 // private recorder for the duration of the concurrent section and drained into
 // the original sinks in slice order afterwards, so a shared sink observes the
 // same event sequence at every worker count.
-func MonitorAll(links []*Link, parallelism int) ([][]Alert, error) {
-	out, _, err := MonitorAllCtx(context.Background(), links, parallelism)
-	return out, err
-}
-
-// MonitorAllCtx is MonitorAll with cooperative cancellation: once ctx is
-// done no further link starts its round, while rounds already in flight run
-// to completion (tearing a round down midway would desynchronize an
-// endpoint's robustness state). The returned ran slice reports which links
+//
+// Cancellation is cooperative: once ctx is done no further link starts its
+// round, while rounds already in flight run to completion (tearing a round
+// down midway would desynchronize an endpoint's robustness state). The returned ran slice reports which links
 // actually monitored; ctx's error, when set, is joined into the returned
 // error. Determinism is unaffected for the links that ran — cancellation
 // only trims the tail of the work list.

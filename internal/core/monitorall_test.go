@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"testing"
@@ -35,7 +36,7 @@ func TestMonitorAllMatchesSequential(t *testing.T) {
 	}
 
 	for _, par := range []int{1, 4, 0} {
-		got, err := MonitorAll(build(), par)
+		got, err := monitorAll(build(), par)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,19 +46,25 @@ func TestMonitorAllMatchesSequential(t *testing.T) {
 		}
 	}
 
-	if got, err := MonitorAll(nil, 4); err != nil || len(got) != 0 {
-		t.Fatalf("MonitorAll(nil) = %+v, %v, want empty", got, err)
+	if got, err := monitorAll(nil, 4); err != nil || len(got) != 0 {
+		t.Fatalf("monitorAll(nil) = %+v, %v, want empty", got, err)
 	}
 
 	// An uncalibrated link in the fleet reports an error but does not stop
 	// the other links' rounds.
 	mixed := build()
 	mixed = append(mixed, newLink(t, 14))
-	got, err := MonitorAll(mixed, 2)
+	got, err := monitorAll(mixed, 2)
 	if !errors.Is(err, ErrNotCalibrated) {
 		t.Fatalf("uncalibrated fleet member: err = %v, want ErrNotCalibrated", err)
 	}
 	if !reflect.DeepEqual(got[:3], want) {
 		t.Error("calibrated links' rounds changed by a failing fleet member")
 	}
+}
+
+// monitorAll runs MonitorAllCtx without cancellation.
+func monitorAll(links []*Link, parallelism int) ([][]Alert, error) {
+	out, _, err := MonitorAllCtx(context.Background(), links, parallelism)
+	return out, err
 }

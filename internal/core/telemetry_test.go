@@ -148,7 +148,7 @@ func monitorFleet(t *testing.T, n, rounds, parallelism int) []telemetry.Event {
 		links[i] = l
 	}
 	for r := 0; r < rounds; r++ {
-		if _, err := MonitorAll(links, parallelism); err != nil {
+		if _, err := monitorAll(links, parallelism); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -145,33 +145,3 @@ func parity8(v uint8) uint8 {
 	v ^= v >> 1
 	return v & 1
 }
-
-// Word pairs a 64-bit data word with its check bits — one stored ECC unit.
-type Word struct {
-	Data  uint64
-	Check CheckBits
-}
-
-// NewWord encodes data into a stored word.
-func NewWord(data uint64) Word {
-	return Word{Data: data, Check: Encode(data)}
-}
-
-// FlipDataBit injects a data-bit error (bit index 0..63).
-func (w *Word) FlipDataBit(i int) {
-	if i < 0 || i >= 64 {
-		panic(fmt.Sprintf("ecc: data bit %d out of range", i))
-	}
-	w.Data ^= 1 << i
-}
-
-// FlipCheckBit injects a check-bit error (bit index 0..7).
-func (w *Word) FlipCheckBit(i int) {
-	if i < 0 || i >= 8 {
-		panic(fmt.Sprintf("ecc: check bit %d out of range", i))
-	}
-	w.Check ^= 1 << i
-}
-
-// Read decodes the stored word.
-func (w Word) Read() (uint64, Verdict) { return Decode(w.Data, w.Check) }

@@ -285,9 +285,6 @@ func NewPlane(stream *rng.Stream, faults ...Fault) *Plane {
 	return p
 }
 
-// Faults returns the plane's fault list.
-func (p *Plane) Faults() []Fault { return p.faults }
-
 // deadSet resolves fault i's dead-bin membership function.
 func (p *Plane) deadSet(i int) func(m int) bool {
 	f := p.faults[i]

@@ -63,10 +63,3 @@ func AlignStretch(measured, ref IIP, maxStrain float64, p Pipeline) AlignResult 
 	}
 	return best
 }
-
-// AuthenticateAligned scores with stretch compensation: the measured
-// fingerprint is aligned to the enrollment before thresholding.
-func (m Matcher) AuthenticateAligned(measured, enrolled IIP, maxStrain float64, p Pipeline) (AuthResult, AlignResult) {
-	a := AlignStretch(measured, enrolled, maxStrain, p)
-	return AuthResult{Score: a.Score, Threshold: m.Threshold, Accepted: a.Score >= m.Threshold}, a
-}

@@ -94,12 +94,12 @@ func TestAuthenticateAligned(t *testing.T) {
 	m := rg.measure(hot)
 	matcher := Matcher{Threshold: 0.9}
 	plain := matcher.Authenticate(m, ref)
-	aligned, a := matcher.AuthenticateAligned(m, ref, 0.05, rg.p)
-	if aligned.Score <= plain.Score {
-		t.Fatalf("aligned %v should beat plain %v at 75°C", aligned.Score, plain.Score)
+	a := AlignStretch(m, ref, 0.05, rg.p)
+	if a.Score <= plain.Score {
+		t.Fatalf("aligned %v should beat plain %v at 75°C", a.Score, plain.Score)
 	}
-	if !aligned.Accepted {
-		t.Errorf("aligned authentication at 75°C rejected: %+v", aligned)
+	if a.Score < matcher.Threshold {
+		t.Errorf("aligned score at 75°C %v below threshold %v", a.Score, matcher.Threshold)
 	}
 	if a.Stretch <= 1 {
 		t.Errorf("estimated stretch %v should exceed 1 at +52°C", a.Stretch)

@@ -24,12 +24,6 @@ type iipImage struct {
 	Samples []float64 `json:"samples"`
 }
 
-// storeImage is the serialized form of a whole store.
-type storeImage struct {
-	Version int                 `json:"version"`
-	Entries map[string]iipImage `json:"entries"`
-}
-
 // Encode writes the fingerprint to w.
 func (f IIP) Encode(w io.Writer) error {
 	if !f.Valid() {
@@ -65,38 +59,4 @@ func imageToIIP(img iipImage, p Pipeline) (IIP, error) {
 	noSmooth := p
 	noSmooth.SmoothSigmaBins = 0
 	return noSmooth.FromWaveform(signal.FromSamples(img.Rate, img.Samples)), nil
-}
-
-// Save writes every enrollment in the store to w.
-func (s *Store) Save(w io.Writer) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	img := storeImage{Version: codecVersion, Entries: make(map[string]iipImage, len(s.entries))}
-	for id, f := range s.entries {
-		img.Entries[id] = iipImage{Version: codecVersion, Rate: f.Raw.Rate, Samples: f.Raw.Samples}
-	}
-	return json.NewEncoder(w).Encode(img)
-}
-
-// LoadStore reads a store image from r, rebuilding comparison views with the
-// given pipeline.
-func LoadStore(r io.Reader, p Pipeline) (*Store, error) {
-	var img storeImage
-	if err := json.NewDecoder(r).Decode(&img); err != nil {
-		return nil, fmt.Errorf("fingerprint: decoding store: %w", err)
-	}
-	if img.Version != codecVersion {
-		return nil, fmt.Errorf("fingerprint: store version %d, want %d", img.Version, codecVersion)
-	}
-	s := NewStore()
-	for id, e := range img.Entries {
-		f, err := imageToIIP(e, p)
-		if err != nil {
-			return nil, fmt.Errorf("fingerprint: entry %q: %w", id, err)
-		}
-		if err := s.Enroll(id, f); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
 }

@@ -54,59 +54,6 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestStoreSaveLoadRoundTrip(t *testing.T) {
-	p := DefaultPipeline()
-	s := NewStore()
-	a := p.FromWaveform(waveOf(1, 2, 3, 2, 1, 0, -1, -2))
-	b := p.FromWaveform(waveOf(-1, 0, 1, 0, -1, 0, 1, 0))
-	if err := s.Enroll("bus0", a); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Enroll("bus1", b); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadStore(&buf, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := loaded.IDs()
-	if len(ids) != 2 || ids[0] != "bus0" || ids[1] != "bus1" {
-		t.Fatalf("IDs after load = %v", ids)
-	}
-	got, ok := loaded.Lookup("bus0")
-	if !ok {
-		t.Fatal("bus0 missing after load")
-	}
-	if s := Similarity(got, a); math.Abs(s-1) > 1e-12 {
-		t.Errorf("bus0 similarity after reload = %v", s)
-	}
-	// Matching still works against freshly built fingerprints.
-	m := Matcher{Threshold: 0.9}
-	if !m.Authenticate(a, got).Accepted {
-		t.Error("reloaded enrollment fails to authenticate the original")
-	}
-	if m.Authenticate(b, got).Accepted {
-		t.Error("reloaded enrollment accepts the wrong fingerprint")
-	}
-}
-
-func TestLoadStoreRejectsGarbage(t *testing.T) {
-	if _, err := LoadStore(strings.NewReader("nope"), Pipeline{}); err == nil {
-		t.Error("expected error")
-	}
-	if _, err := LoadStore(strings.NewReader(`{"version":2,"entries":{}}`), Pipeline{}); err == nil {
-		t.Error("expected version error")
-	}
-	if _, err := LoadStore(strings.NewReader(
-		`{"version":1,"entries":{"x":{"version":1,"rate":-1,"samples":[1]}}}`), Pipeline{}); err == nil {
-		t.Error("expected corrupt-entry error")
-	}
-}
-
 func TestDecodePipelineModeRebuildsComparisonView(t *testing.T) {
 	// A fingerprint stored under one comparison mode must be loadable under
 	// another: the comparison view derives from Raw at decode time.

@@ -1,7 +1,6 @@
 package fingerprint
 
 import (
-	"fmt"
 	"math"
 )
 
@@ -23,22 +22,4 @@ func FuseSimilarities(scores []float64) float64 {
 		logSum += math.Log(s)
 	}
 	return math.Exp(logSum / float64(len(scores)))
-}
-
-// MultiWireAuthenticate scores a bus by fusing per-wire matches. The two
-// slices pair up by index: measured[i] is checked against enrolled[i].
-func (m Matcher) MultiWireAuthenticate(measured, enrolled []IIP) (AuthResult, error) {
-	if len(measured) != len(enrolled) {
-		return AuthResult{}, fmt.Errorf("fingerprint: %d measured vs %d enrolled wires",
-			len(measured), len(enrolled))
-	}
-	if len(measured) == 0 {
-		return AuthResult{}, fmt.Errorf("fingerprint: no wires to authenticate")
-	}
-	scores := make([]float64, len(measured))
-	for i := range measured {
-		scores[i] = Similarity(measured[i], enrolled[i])
-	}
-	s := FuseSimilarities(scores)
-	return AuthResult{Score: s, Threshold: m.Threshold, Accepted: s >= m.Threshold}, nil
 }

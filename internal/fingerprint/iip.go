@@ -123,18 +123,9 @@ func Similarity(x, y IIP) float64 {
 }
 
 // ErrorFunction computes the paper's E_xy(n) = (x(n) - y(n))² (Eq. 5) on the
-// raw fingerprints, in volts². Both fingerprints must share length and rate.
-func ErrorFunction(x, y IIP) *signal.Waveform {
-	if !x.Valid() || !y.Valid() {
-		panic("fingerprint: error function of invalid fingerprints")
-	}
-	d := signal.Sub(x.Raw, y.Raw)
-	out := signal.New(d.Rate, d.Len())
-	for i, v := range d.Samples {
-		out.Samples[i] = v * v
-	}
-	return out
-}
+// raw fingerprints, in volts², into a fresh waveform. Both fingerprints must
+// share length and rate.
+func ErrorFunction(x, y IIP) *signal.Waveform { return ErrorFunctionInto(nil, x, y) }
 
 // PeakError returns the largest error-function value, its bin index, and the
 // round-trip time at which it occurs.

@@ -77,36 +77,6 @@ func (m BinMask) Dilate(guard int) BinMask {
 	return out
 }
 
-// Union merges another mask (or a saturation flag slice) into a copy of m.
-// Either argument may be nil; the result is nil when nothing is masked.
-func (m BinMask) Union(other []bool) BinMask {
-	if len(other) == 0 {
-		return m
-	}
-	var out BinMask
-	if m == nil {
-		out = make(BinMask, len(other))
-	} else {
-		out = m.Clone()
-		for len(out) < len(other) {
-			out = append(out, false)
-		}
-	}
-	any := false
-	for i := range out {
-		if i < len(other) && other[i] {
-			out[i] = true
-		}
-		if out[i] {
-			any = true
-		}
-	}
-	if !any {
-		return nil
-	}
-	return out
-}
-
 // Repair returns a copy of w with masked bins replaced by linear
 // interpolation between the nearest live neighbours (edge runs are held at
 // the nearest live value). Repairing before smoothing keeps a dead bin's
@@ -247,16 +217,7 @@ func MaskedSimilarity(x, y IIP, m BinMask) float64 {
 // repaired bin's residual cannot masquerade as a tamper peak. An empty mask
 // reproduces ErrorFunction exactly.
 func MaskedErrorFunction(x, y IIP, m BinMask) *signal.Waveform {
-	e := ErrorFunction(x, y)
-	if m.Empty() {
-		return e
-	}
-	for i := range e.Samples {
-		if i < len(m) && m[i] {
-			e.Samples[i] = 0
-		}
-	}
-	return e
+	return MaskedErrorFunctionInto(nil, x, y, m)
 }
 
 // MeanErrorMasked returns the mean error over live bins only — the degraded
@@ -284,21 +245,4 @@ func MeanErrorMasked(e *signal.Waveform, m BinMask) float64 {
 func (mt Matcher) AuthenticateMasked(measured, enrolled IIP, m BinMask) AuthResult {
 	s := MaskedSimilarity(measured, enrolled, m)
 	return AuthResult{Score: s, Threshold: mt.Threshold, Accepted: s >= mt.Threshold}
-}
-
-// CheckMasked is TamperDetector.Check over live bins only: masked bins cannot
-// contribute the peak, and the contrast denominator averages live bins.
-func (d TamperDetector) CheckMasked(measured, reference IIP, m BinMask) TamperVerdict {
-	e := MaskedErrorFunction(measured, reference, m)
-	value, idx, at := PeakError(e)
-	v := TamperVerdict{
-		Tampered:  value > d.PeakThreshold,
-		PeakError: value,
-		Position:  LocalizeError(e, idx, d.Velocity),
-		At:        at,
-	}
-	if mean := MeanErrorMasked(e, m); mean > 0 {
-		v.Contrast = value / mean
-	}
-	return v
 }

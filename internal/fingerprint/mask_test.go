@@ -46,19 +46,6 @@ func TestMaskBasics(t *testing.T) {
 	if m.Count() != 2 {
 		t.Error("dilate mutated the receiver")
 	}
-
-	var nilMask BinMask
-	if got := nilMask.Union([]bool{false, false}); got != nil {
-		t.Errorf("union of nothing = %v, want nil", got)
-	}
-	u := nilMask.Union([]bool{false, true, false})
-	if u == nil || !u[1] || u.Count() != 1 {
-		t.Errorf("union = %v", u)
-	}
-	u2 := m.Union([]bool{true, false, false, false, false, false, false, false, false, false})
-	if u2.Count() != 3 || !u2[0] || !u2[3] || !u2[7] {
-		t.Errorf("union = %v", u2)
-	}
 }
 
 func TestRepairInterpolates(t *testing.T) {

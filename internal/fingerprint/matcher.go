@@ -69,16 +69,5 @@ func (v TamperVerdict) String() string {
 
 // Check compares a fresh measurement against the reference fingerprint.
 func (d TamperDetector) Check(measured, reference IIP) TamperVerdict {
-	e := ErrorFunction(measured, reference)
-	value, idx, at := PeakError(e)
-	v := TamperVerdict{
-		Tampered:  value > d.PeakThreshold,
-		PeakError: value,
-		Position:  LocalizeError(e, idx, d.Velocity),
-		At:        at,
-	}
-	if mean := MeanError(e); mean > 0 {
-		v.Contrast = value / mean
-	}
-	return v
+	return d.CheckMaskedWith(nil, measured, reference, nil)
 }

@@ -80,25 +80,3 @@ func TestFusePanicsOnEmpty(t *testing.T) {
 	}()
 	FuseSimilarities(nil)
 }
-
-func TestMultiWireAuthenticate(t *testing.T) {
-	m := Matcher{Threshold: 0.9}
-	p := Pipeline{}
-	good := p.FromWaveform(waveOf(1, 2, 3, 2, 1))
-	bad := p.FromWaveform(waveOf(-1, 3, -2, 4, 0))
-	res, err := m.MultiWireAuthenticate([]IIP{good, good}, []IIP{good, good})
-	if err != nil || !res.Accepted {
-		t.Errorf("all-genuine multiwire: %+v, %v", res, err)
-	}
-	// One impostor wire tanks the fused score.
-	res, err = m.MultiWireAuthenticate([]IIP{good, bad}, []IIP{good, good})
-	if err != nil || res.Accepted {
-		t.Errorf("one bad wire should fail the bus: %+v, %v", res, err)
-	}
-	if _, err := m.MultiWireAuthenticate([]IIP{good}, []IIP{good, good}); err == nil {
-		t.Error("expected length-mismatch error")
-	}
-	if _, err := m.MultiWireAuthenticate(nil, nil); err == nil {
-		t.Error("expected empty-wire error")
-	}
-}

@@ -2,7 +2,6 @@ package fingerprint
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -45,16 +44,4 @@ func (s *Store) Forget(id string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.entries, id)
-}
-
-// IDs returns the enrolled identities in sorted order.
-func (s *Store) IDs() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ids := make([]string, 0, len(s.entries))
-	for id := range s.entries {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
 }

@@ -32,20 +32,6 @@ func TestStoreRejectsInvalid(t *testing.T) {
 	}
 }
 
-func TestStoreIDsSorted(t *testing.T) {
-	s := NewStore()
-	f := Pipeline{}.FromWaveform(waveOf(1, 2))
-	for _, id := range []string{"c", "a", "b"} {
-		if err := s.Enroll(id, f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ids := s.IDs()
-	if len(ids) != 3 || ids[0] != "a" || ids[2] != "c" {
-		t.Errorf("IDs = %v", ids)
-	}
-}
-
 func TestStoreReEnrollReplaces(t *testing.T) {
 	s := NewStore()
 	if err := s.Enroll("x", Pipeline{}.FromWaveform(waveOf(1, 2))); err != nil {
@@ -71,7 +57,6 @@ func TestStoreConcurrent(t *testing.T) {
 			for j := 0; j < 100; j++ {
 				_ = s.Enroll("shared", f)
 				s.Lookup("shared")
-				s.IDs()
 			}
 		}()
 	}

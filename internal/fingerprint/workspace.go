@@ -10,8 +10,8 @@ import (
 // post-processing: the repaired waveform, the smoothed Raw view, the
 // comparison view, the error function, and the hoisted smoothing kernel.
 // The XxxWith methods below recycle it across rounds so the steady-state
-// monitoring loop allocates nothing; a nil Workspace falls back to the
-// allocating forms. Results are bit-identical either way.
+// monitoring loop allocates nothing; a nil Workspace allocates instead.
+// Results are bit-identical either way.
 //
 // Ownership rules: a workspace serves one scoring at a time, and the IIPs
 // and verdicts produced through it alias its buffers — valid until the next
@@ -65,7 +65,7 @@ func (p Pipeline) FromWaveformMaskedWith(ws *Workspace, w *signal.Waveform, m Bi
 	return p.FromWaveformWith(ws, w)
 }
 
-// ErrorFunctionInto is ErrorFunction with a reusable destination (nil
+// ErrorFunctionInto is ErrorFunction writing into a reusable destination (nil
 // allocates a fresh one), which must not alias either fingerprint's Raw
 // view.
 func ErrorFunctionInto(dst *signal.Waveform, x, y IIP) *signal.Waveform {
@@ -85,8 +85,8 @@ func ErrorFunctionInto(dst *signal.Waveform, x, y IIP) *signal.Waveform {
 	return dst
 }
 
-// MaskedErrorFunctionInto is MaskedErrorFunction with a reusable
-// destination.
+// MaskedErrorFunctionInto is MaskedErrorFunction writing into a reusable
+// destination (nil allocates a fresh one).
 func MaskedErrorFunctionInto(dst *signal.Waveform, x, y IIP, m BinMask) *signal.Waveform {
 	e := ErrorFunctionInto(dst, x, y)
 	if m.Empty() {
@@ -100,11 +100,13 @@ func MaskedErrorFunctionInto(dst *signal.Waveform, x, y IIP, m BinMask) *signal.
 	return e
 }
 
-// CheckMaskedWith is CheckMasked recycling the workspace's error buffer. A
-// nil workspace falls back to CheckMasked.
+// CheckMaskedWith is Check over live bins only, recycling the workspace's
+// error buffer (a nil workspace allocates one): masked bins cannot contribute
+// the peak, and the contrast denominator averages live bins. An empty mask
+// reproduces Check exactly.
 func (d TamperDetector) CheckMaskedWith(ws *Workspace, measured, reference IIP, m BinMask) TamperVerdict {
 	if ws == nil {
-		return d.CheckMasked(measured, reference, m)
+		ws = &Workspace{}
 	}
 	ws.err = MaskedErrorFunctionInto(ws.err, measured, reference, m)
 	e := ws.err

@@ -45,7 +45,7 @@ func TestWorkspaceMatchesAllocatingPipeline(t *testing.T) {
 			if wantAuth != gotAuth {
 				t.Fatalf("round %d: auth mismatch %+v vs %+v", round, gotAuth, wantAuth)
 			}
-			wantV := d.CheckMasked(want, enrolled, scoring)
+			wantV := d.CheckMaskedWith(nil, want, enrolled, scoring)
 			gotV := d.CheckMaskedWith(ws, got, enrolled, scoring)
 			if wantV != gotV {
 				t.Fatalf("round %d: verdict mismatch %+v vs %+v", round, gotV, wantV)

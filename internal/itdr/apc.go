@@ -164,9 +164,6 @@ func (iv *Inverter) Matches(refs []float64) bool {
 	return true
 }
 
-// Promoted reports whether the composite CDF has been tabulated.
-func (iv *Inverter) Promoted() bool { return iv.table != nil }
-
 // Promote tabulates the composite CDF so subsequent Estimate calls invert by
 // interpolation instead of bisection. Idempotent. The table itself comes
 // from a process-wide cache keyed by the CDF's parameters: every instrument

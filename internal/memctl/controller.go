@@ -161,7 +161,7 @@ func NewController(sched *sim.Scheduler, dev *Device, cfg ControllerConfig, cpuG
 	}
 	c := &Controller{
 		sched:   sched,
-		clock:   sim.NewClock(sched, cfg.ClockHz),
+		clock:   sim.NewClock(cfg.ClockHz),
 		timing:  cfg.Timing,
 		device:  dev,
 		cpuGate: cpuGate,
@@ -187,9 +187,6 @@ func (c *Controller) Submit(r *Request) uint64 {
 	c.kick()
 	return r.ID
 }
-
-// QueueDepth returns the number of waiting requests.
-func (c *Controller) QueueDepth() int { return len(c.queue) }
 
 // kick starts the scheduling loop if it is idle.
 func (c *Controller) kick() {

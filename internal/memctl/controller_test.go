@@ -55,8 +55,8 @@ func TestControllerCompletesRequests(t *testing.T) {
 	if h.ctl.Stats.Completed != 20 {
 		t.Errorf("stats completed = %d", h.ctl.Stats.Completed)
 	}
-	if h.ctl.QueueDepth() != 0 {
-		t.Errorf("queue not drained: %d", h.ctl.QueueDepth())
+	if len(h.ctl.queue) != 0 {
+		t.Errorf("queue not drained: %d", len(h.ctl.queue))
 	}
 }
 

@@ -72,18 +72,3 @@ func (m Mapper) Map(byteAddr int64) (Address, error) {
 		}, nil
 	}
 }
-
-// Unmap inverts Map back to the burst-aligned byte address.
-func (m Mapper) Unmap(a Address) (int64, error) {
-	if !m.geom.Contains(a) {
-		return 0, fmt.Errorf("memctl: address %v outside geometry", a)
-	}
-	var b int64
-	switch m.policy {
-	case MapBankInterleaved:
-		b = (int64(a.Row)*int64(m.geom.Cols)+int64(a.Col))*int64(m.geom.Banks) + int64(a.Bank)
-	default:
-		b = (int64(a.Row)*int64(m.geom.Banks)+int64(a.Bank))*int64(m.geom.Cols) + int64(a.Col)
-	}
-	return b * int64(m.geom.BurstBytes), nil
-}

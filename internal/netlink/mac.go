@@ -8,34 +8,25 @@ import (
 	"divot/internal/memctl"
 )
 
-// Sentinel errors.
-var (
-	// ErrLinkDown is returned when the DIVOT gate holds the port down.
-	ErrLinkDown = errors.New("netlink: port held down by authentication gate")
-	// ErrCorrupt is returned when decode or CRC fails on receive.
-	ErrCorrupt = errors.New("netlink: corrupt frame")
-)
+// ErrLinkDown is returned when the DIVOT gate holds the port down.
+var ErrLinkDown = errors.New("netlink: port held down by authentication gate")
 
 // Stats counts port activity.
 type Stats struct {
-	FramesSent     int64
-	FramesReceived int64
-	FramesDropped  int64 // gate-down drops
-	DecodeErrors   int64
-	CRCErrors      int64
+	FramesSent    int64
+	FramesDropped int64 // gate-down drops
 }
 
-// Port is one end of the protected network link: framing, 8b/10b line
-// coding, and the DIVOT gate. A port refuses to transmit while its gate is
-// down (the host side reacting to a tapped or swapped cable) and the peer
-// refuses to accept (the switch side reacting symmetrically).
+// Port is the transmitting end of the protected network link: framing,
+// 8b/10b line coding, and the DIVOT gate. A port refuses to transmit while
+// its gate is down (the host side reacting to a tapped or swapped cable); the
+// receiving end is a Deframer.
 type Port struct {
 	// Addr is the port's MAC-style address.
 	Addr uint16
 
 	gate memctl.Gate
 	enc  *bus.Encoder8b10b
-	dec  *bus.Decoder8b10b
 
 	// Stats accumulates port activity.
 	Stats Stats
@@ -46,27 +37,12 @@ func NewPort(addr uint16, gate memctl.Gate) *Port {
 	if gate == nil {
 		gate = memctl.GateFunc(func() bool { return true })
 	}
-	return &Port{Addr: addr, gate: gate, enc: &bus.Encoder8b10b{}, dec: &bus.Decoder8b10b{}}
+	return &Port{Addr: addr, gate: gate, enc: &bus.Encoder8b10b{}}
 }
 
-// Transmit frames and line-codes a payload for the wire. It fails when the
-// gate is down.
-func (p *Port) Transmit(dst uint16, payload []byte) ([]uint16, error) {
-	if !p.gate.Authorized() {
-		p.Stats.FramesDropped++
-		return nil, fmt.Errorf("%w: tx to %04x", ErrLinkDown, dst)
-	}
-	f := Frame{Dst: dst, Src: p.Addr, Payload: payload}
-	raw, err := f.Marshal()
-	if err != nil {
-		return nil, err
-	}
-	p.Stats.FramesSent++
-	return p.enc.Encode(raw), nil
-}
-
-// TransmitFramed is Transmit with a leading K28.5 comma, for receivers that
-// deframe a continuous symbol stream (see Deframer).
+// TransmitFramed frames and line-codes a payload for the wire behind a
+// leading K28.5 comma, for a receiver that deframes the continuous symbol
+// stream (see Deframer). It fails when the gate is down.
 func (p *Port) TransmitFramed(dst uint16, payload []byte) ([]uint16, error) {
 	if !p.gate.Authorized() {
 		p.Stats.FramesDropped++
@@ -81,25 +57,4 @@ func (p *Port) TransmitFramed(dst uint16, payload []byte) ([]uint16, error) {
 	out := make([]uint16, 0, len(raw)+1)
 	out = append(out, p.enc.EncodeComma())
 	return append(out, p.enc.Encode(raw)...), nil
-}
-
-// Receive decodes symbols from the wire back into a frame. It fails when
-// the gate is down (unauthenticated peer) or the stream is corrupt.
-func (p *Port) Receive(symbols []uint16) (Frame, error) {
-	if !p.gate.Authorized() {
-		p.Stats.FramesDropped++
-		return Frame{}, fmt.Errorf("%w: rx", ErrLinkDown)
-	}
-	raw, err := p.dec.Decode(symbols)
-	if err != nil {
-		p.Stats.DecodeErrors++
-		return Frame{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	f, err := Unmarshal(raw)
-	if err != nil {
-		p.Stats.CRCErrors++
-		return Frame{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	p.Stats.FramesReceived++
-	return f, nil
 }

@@ -59,21 +59,21 @@ func TestUnmarshalRejectsCorruption(t *testing.T) {
 
 func TestPortEndToEnd(t *testing.T) {
 	tx := NewPort(0x0001, nil)
-	rx := NewPort(0x0002, nil)
+	var rx Deframer
 	payload := []byte("the quick brown fox")
-	symbols, err := tx.Transmit(0x0002, payload)
+	symbols, err := tx.TransmitFramed(0x0002, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := rx.Receive(symbols)
-	if err != nil {
-		t.Fatal(err)
+	frames := rx.Push(symbols)
+	if len(frames) != 1 {
+		t.Fatalf("deframed %d frames (errors %d), want 1", len(frames), rx.Errors)
 	}
-	if f.Dst != 0x0002 || f.Src != 0x0001 || !bytes.Equal(f.Payload, payload) {
+	if f := frames[0]; f.Dst != 0x0002 || f.Src != 0x0001 || !bytes.Equal(f.Payload, payload) {
 		t.Errorf("frame = %+v", f)
 	}
-	if tx.Stats.FramesSent != 1 || rx.Stats.FramesReceived != 1 {
-		t.Errorf("stats: %+v %+v", tx.Stats, rx.Stats)
+	if tx.Stats.FramesSent != 1 || rx.Frames != 1 {
+		t.Errorf("stats: %+v, deframed %d", tx.Stats, rx.Frames)
 	}
 }
 
@@ -81,61 +81,35 @@ func TestPortMultipleFramesShareDisparityState(t *testing.T) {
 	// The 8b/10b running disparity carries across frames on a real wire;
 	// a stream of frames must keep decoding.
 	tx := NewPort(1, nil)
-	rx := NewPort(2, nil)
+	var rx Deframer
 	for i := 0; i < 20; i++ {
 		payload := bytes.Repeat([]byte{byte(i)}, i*7%64)
-		symbols, err := tx.Transmit(2, payload)
+		symbols, err := tx.TransmitFramed(2, payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := rx.Receive(symbols)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
+		frames := rx.Push(symbols)
+		if len(frames) != 1 {
+			t.Fatalf("frame %d: deframed %d frames (errors %d)", i, len(frames), rx.Errors)
 		}
-		if !bytes.Equal(f.Payload, payload) {
+		if !bytes.Equal(frames[0].Payload, payload) {
 			t.Fatalf("frame %d payload differs", i)
 		}
 	}
 }
 
-func TestGateDownBlocksTransmitAndReceive(t *testing.T) {
+func TestGateDownBlocksTransmit(t *testing.T) {
 	gate := memctl.NewStaticGate(false)
 	tx := NewPort(1, gate)
-	if _, err := tx.Transmit(2, []byte("x")); !errors.Is(err, ErrLinkDown) {
+	if _, err := tx.TransmitFramed(2, []byte("x")); !errors.Is(err, ErrLinkDown) {
 		t.Errorf("tx error = %v", err)
 	}
-	okTx := NewPort(1, nil)
-	symbols, err := okTx.Transmit(2, []byte("x"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rx := NewPort(2, gate)
-	if _, err := rx.Receive(symbols); !errors.Is(err, ErrLinkDown) {
-		t.Errorf("rx error = %v", err)
-	}
-	if tx.Stats.FramesDropped != 1 || rx.Stats.FramesDropped != 1 {
-		t.Errorf("drop counters: %+v %+v", tx.Stats, rx.Stats)
+	if tx.Stats.FramesDropped != 1 || tx.Stats.FramesSent != 0 {
+		t.Errorf("counters: %+v", tx.Stats)
 	}
 	// Gate recovery restores traffic.
 	gate.Set(true)
-	if _, err := rx.Receive(symbols); err != nil {
-		t.Fatalf("receive after recovery: %v", err)
-	}
-}
-
-func TestReceiveFlagsWireCorruption(t *testing.T) {
-	tx := NewPort(1, nil)
-	rx := NewPort(2, nil)
-	symbols, err := tx.Transmit(2, []byte("payload"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// An invalid 10b symbol (all zeros) is a line-coding violation.
-	symbols[3] = 0
-	if _, err := rx.Receive(symbols); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("decode error = %v", err)
-	}
-	if rx.Stats.DecodeErrors != 1 {
-		t.Errorf("DecodeErrors = %d", rx.Stats.DecodeErrors)
+	if _, err := tx.TransmitFramed(2, []byte("x")); err != nil {
+		t.Fatalf("transmit after recovery: %v", err)
 	}
 }

@@ -113,30 +113,11 @@ func (r *Ring) Remove(node string) {
 	r.points = kept
 }
 
-// Has reports whether node is a member.
-func (r *Ring) Has(node string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.members[node]
-}
-
 // Len returns the member count.
 func (r *Ring) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return len(r.members)
-}
-
-// Members returns the nodes in sorted order.
-func (r *Ring) Members() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.members))
-	for n := range r.members {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Get returns the node owning key, or false on an empty ring.

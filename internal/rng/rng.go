@@ -49,13 +49,6 @@ func (s *Stream) Reseed(seed uint64) {
 	s.pcg.Seed(seed, seed^0x9e3779b97f4a7c15)
 }
 
-// ReseedChild is Child without the allocation: it re-points s at the stream
-// Child(label) of parent would return. s and parent may not be the same
-// stream.
-func (s *Stream) ReseedChild(parent *Stream, label string) {
-	s.Reseed(parent.deriveSeed(label, 0, false))
-}
-
 // ReseedChildN is ChildN without the allocation: it re-points s at the
 // stream ChildN(label, n) of parent would return. s and parent may not be
 // the same stream. Reading the parent's seed is the only access to parent,

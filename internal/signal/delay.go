@@ -1,29 +1,5 @@
 package signal
 
-// Delay returns w delayed by dt seconds within the same sample span: sample i
-// of the output is w evaluated at time i/Rate - dt (linear interpolation,
-// edge-held). A positive dt moves features later in time.
-func Delay(w *Waveform, dt float64) *Waveform {
-	out := New(w.Rate, w.Len())
-	for i := range out.Samples {
-		out.Samples[i] = w.At(float64(i)/w.Rate - dt)
-	}
-	return out
-}
-
-// ShiftSamples returns w shifted by k whole samples (positive k moves
-// features later), zero-filling the vacated region.
-func ShiftSamples(w *Waveform, k int) *Waveform {
-	out := New(w.Rate, w.Len())
-	for i := range out.Samples {
-		j := i - k
-		if j >= 0 && j < w.Len() {
-			out.Samples[i] = w.Samples[j]
-		}
-	}
-	return out
-}
-
 // Stretch returns w resampled in time by factor s around t=0: sample i of the
 // output is w evaluated at time (i/Rate)/s. s slightly above 1 stretches the
 // waveform (features move later), modelling a mechanically elongated line.

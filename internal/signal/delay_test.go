@@ -5,53 +5,6 @@ import (
 	"testing"
 )
 
-func TestDelayWholeSamples(t *testing.T) {
-	w := FromSamples(1, []float64{1, 2, 3, 4})
-	d := Delay(w, 2)
-	// First two samples hold the left edge value.
-	want := []float64{1, 1, 1, 2}
-	for i, v := range want {
-		if d.Samples[i] != v {
-			t.Errorf("sample %d = %v, want %v", i, d.Samples[i], v)
-		}
-	}
-}
-
-func TestDelayFractional(t *testing.T) {
-	w := FromSamples(1, []float64{0, 10, 20, 30})
-	d := Delay(w, 0.5)
-	if got := d.Samples[2]; got != 15 {
-		t.Errorf("fractionally delayed sample = %v, want 15", got)
-	}
-}
-
-func TestDelayComposition(t *testing.T) {
-	// Delaying a smooth waveform by a then b approximates delaying by a+b.
-	w := New(100, 200)
-	for i := range w.Samples {
-		w.Samples[i] = math.Sin(2 * math.Pi * 2 * w.TimeOf(i))
-	}
-	d1 := Delay(Delay(w, 0.03), 0.05)
-	d2 := Delay(w, 0.08)
-	for i := 30; i < 170; i++ {
-		if math.Abs(d1.Samples[i]-d2.Samples[i]) > 0.02 {
-			t.Fatalf("delay composition differs at %d: %v vs %v", i, d1.Samples[i], d2.Samples[i])
-		}
-	}
-}
-
-func TestShiftSamples(t *testing.T) {
-	w := FromSamples(1, []float64{1, 2, 3})
-	s := ShiftSamples(w, 1)
-	if s.Samples[0] != 0 || s.Samples[1] != 1 || s.Samples[2] != 2 {
-		t.Errorf("shift +1 = %v", s.Samples)
-	}
-	s = ShiftSamples(w, -1)
-	if s.Samples[0] != 2 || s.Samples[2] != 0 {
-		t.Errorf("shift -1 = %v", s.Samples)
-	}
-}
-
 func TestStretchMovesFeaturesLater(t *testing.T) {
 	w := New(100, 100)
 	w.Samples[50] = 1

@@ -17,46 +17,3 @@ func StepEdge(rate float64, n int, t0, riseTime, amplitude float64) *Waveform {
 	}
 	return w
 }
-
-// FallingEdge returns a falling edge from amplitude to 0, the mirror of
-// StepEdge.
-func FallingEdge(rate float64, n int, t0, riseTime, amplitude float64) *Waveform {
-	w := StepEdge(rate, n, t0, riseTime, amplitude)
-	for i, v := range w.Samples {
-		w.Samples[i] = amplitude - v
-	}
-	return w
-}
-
-// EdgeDerivative returns the time-derivative of the erf step edge — the
-// effective probe impulse the TDR sees when differentiating reflections of a
-// step. It is a Gaussian pulse of unit area scaled by amplitude.
-func EdgeDerivative(rate float64, n int, t0, riseTime, amplitude float64) *Waveform {
-	w := New(rate, n)
-	sigma := riseTime / 2.563
-	g := NewGaussianPulse(sigma)
-	for i := range w.Samples {
-		t := float64(i)/rate - t0
-		w.Samples[i] = amplitude * g(t)
-	}
-	return w
-}
-
-// NewGaussianPulse returns a unit-area Gaussian pulse function with the given
-// standard deviation.
-func NewGaussianPulse(sigma float64) func(t float64) float64 {
-	norm := 1 / (sigma * math.Sqrt(2*math.Pi))
-	return func(t float64) float64 {
-		z := t / sigma
-		return norm * math.Exp(-0.5*z*z)
-	}
-}
-
-// Impulse returns a single-sample unit impulse at index i.
-func Impulse(rate float64, n, i int) *Waveform {
-	w := New(rate, n)
-	if i >= 0 && i < n {
-		w.Samples[i] = 1
-	}
-	return w
-}

@@ -37,39 +37,3 @@ func TestStepEdgeRiseTime(t *testing.T) {
 		t.Errorf("10-90%% rise time = %v, want ~%v", got, rise)
 	}
 }
-
-func TestFallingEdgeMirrors(t *testing.T) {
-	r := StepEdge(1e12, 100, 50e-12, 20e-12, 1)
-	f := FallingEdge(1e12, 100, 50e-12, 20e-12, 1)
-	for i := range r.Samples {
-		if math.Abs(r.Samples[i]+f.Samples[i]-1) > 1e-12 {
-			t.Fatalf("rising+falling != amplitude at %d", i)
-		}
-	}
-}
-
-func TestEdgeDerivativeArea(t *testing.T) {
-	rate := 1e13
-	w := EdgeDerivative(rate, 10000, 500e-12, 40e-12, 0.7)
-	var area float64
-	for _, v := range w.Samples {
-		area += v / rate
-	}
-	if math.Abs(area-0.7) > 1e-3 {
-		t.Errorf("derivative area = %v, want amplitude 0.7", area)
-	}
-	pi, _ := PeakIndex(w)
-	if got := w.TimeOf(pi); math.Abs(got-500e-12) > 1e-12 {
-		t.Errorf("derivative peak at %v, want 500ps", got)
-	}
-}
-
-func TestImpulse(t *testing.T) {
-	w := Impulse(1, 5, 2)
-	if w.Samples[2] != 1 || Energy(w) != 1 {
-		t.Errorf("impulse = %v", w.Samples)
-	}
-	if Energy(Impulse(1, 5, 9)) != 0 {
-		t.Error("out-of-range impulse should be zero")
-	}
-}

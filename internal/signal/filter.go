@@ -48,32 +48,6 @@ func smoothWith(out, w *Waveform, kernel []float64, radius int) {
 	}
 }
 
-// MovingAverage smooths w with a centered boxcar of the given width in
-// samples (width < 2 returns a copy).
-func MovingAverage(w *Waveform, width int) *Waveform {
-	if width < 2 {
-		return w.Clone()
-	}
-	half := width / 2
-	out := New(w.Rate, w.Len())
-	for i := range w.Samples {
-		lo := i - half
-		if lo < 0 {
-			lo = 0
-		}
-		hi := i + half + 1
-		if hi > w.Len() {
-			hi = w.Len()
-		}
-		var acc float64
-		for j := lo; j < hi; j++ {
-			acc += w.Samples[j]
-		}
-		out.Samples[i] = acc / float64(hi-lo)
-	}
-	return out
-}
-
 // Derivative returns the first difference of w scaled by the sample rate —
 // the local-reflectivity view of a TDR step response.
 func Derivative(w *Waveform) *Waveform {

@@ -53,23 +53,6 @@ func TestGaussianSmoothZeroSigmaCopies(t *testing.T) {
 	}
 }
 
-func TestMovingAverage(t *testing.T) {
-	w := FromSamples(1, []float64{0, 3, 6, 3, 0})
-	s := MovingAverage(w, 3)
-	if s.Samples[2] != 4 {
-		t.Errorf("center sample = %v, want 4", s.Samples[2])
-	}
-	// Edges renormalize over the in-range window.
-	if s.Samples[0] != 1.5 {
-		t.Errorf("edge sample = %v, want 1.5", s.Samples[0])
-	}
-	c := MovingAverage(w, 1)
-	c.Samples[0] = 42
-	if w.Samples[0] != 0 {
-		t.Error("width-1 moving average should copy")
-	}
-}
-
 func TestDerivative(t *testing.T) {
 	w := FromSamples(10, []float64{0, 1, 3, 3})
 	d := Derivative(w)

@@ -2,16 +2,6 @@ package signal
 
 import "math"
 
-// Add returns a + b. Both waveforms must share rate and length.
-func Add(a, b *Waveform) *Waveform {
-	sameGrid("Add", a, b)
-	out := New(a.Rate, a.Len())
-	for i := range out.Samples {
-		out.Samples[i] = a.Samples[i] + b.Samples[i]
-	}
-	return out
-}
-
 // Sub returns a - b. Both waveforms must share rate and length.
 func Sub(a, b *Waveform) *Waveform {
 	sameGrid("Sub", a, b)
@@ -59,14 +49,6 @@ func Energy(w *Waveform) float64 {
 	return s
 }
 
-// RMS returns the root-mean-square sample value.
-func RMS(w *Waveform) float64 {
-	if w.Len() == 0 {
-		return 0
-	}
-	return math.Sqrt(Energy(w) / float64(w.Len()))
-}
-
 // Mean returns the mean sample value.
 func Mean(w *Waveform) float64 {
 	if w.Len() == 0 {
@@ -98,16 +80,6 @@ func RemoveMeanInPlace(w *Waveform) *Waveform {
 		w.Samples[i] -= m
 	}
 	return w
-}
-
-// Normalize returns w scaled to unit energy. A zero waveform is returned
-// unchanged (as a copy) to avoid dividing by zero.
-func Normalize(w *Waveform) *Waveform {
-	e := Energy(w)
-	if e == 0 {
-		return w.Clone()
-	}
-	return Scale(w, 1/math.Sqrt(e))
 }
 
 // NormalizedInnerProduct returns the cosine similarity of a and b, in

@@ -18,10 +18,6 @@ func randWave(r *rand.Rand, n int) *Waveform {
 func TestAddSubScale(t *testing.T) {
 	a := FromSamples(1, []float64{1, 2, 3})
 	b := FromSamples(1, []float64{4, 5, 6})
-	sum := Add(a, b)
-	if sum.Samples[0] != 5 || sum.Samples[2] != 9 {
-		t.Errorf("Add = %v", sum.Samples)
-	}
 	diff := Sub(b, a)
 	if diff.Samples[0] != 3 || diff.Samples[2] != 3 {
 		t.Errorf("Sub = %v", diff.Samples)
@@ -44,16 +40,13 @@ func TestGridMismatchPanics(t *testing.T) {
 			t.Error("expected panic on rate mismatch")
 		}
 	}()
-	Add(a, b)
+	Sub(a, b)
 }
 
 func TestInnerProductAndEnergy(t *testing.T) {
 	a := FromSamples(1, []float64{1, 2, 2})
 	if got := Energy(a); got != 9 {
 		t.Errorf("Energy = %v", got)
-	}
-	if got := RMS(a); math.Abs(got-math.Sqrt(3)) > 1e-12 {
-		t.Errorf("RMS = %v", got)
 	}
 	b := FromSamples(1, []float64{1, 0, 1})
 	if got := InnerProduct(a, b); got != 3 {
@@ -81,19 +74,6 @@ func TestNormalizedInnerProductProperties(t *testing.T) {
 	zero := New(1e9, 64)
 	if got := NormalizedInnerProduct(a, zero); got != 0 {
 		t.Errorf("similarity with zero waveform = %v, want 0", got)
-	}
-}
-
-func TestNormalizeUnitEnergy(t *testing.T) {
-	r := rand.New(rand.NewSource(6))
-	w := randWave(r, 100)
-	n := Normalize(w)
-	if got := Energy(n); math.Abs(got-1) > 1e-12 {
-		t.Errorf("normalized energy = %v", got)
-	}
-	z := Normalize(New(1, 4))
-	if Energy(z) != 0 {
-		t.Error("normalizing zero waveform should stay zero")
 	}
 }
 

@@ -2,21 +2,6 @@ package signal
 
 import "math"
 
-// Triangle returns the value at time t of an ideal triangle wave with the
-// given frequency, swinging between -amplitude and +amplitude, starting at
-// -amplitude at t=0.
-func Triangle(t, freq, amplitude float64) float64 {
-	phase := t * freq
-	phase -= math.Floor(phase) // [0, 1)
-	var v float64
-	if phase < 0.5 {
-		v = -1 + 4*phase // rising half
-	} else {
-		v = 3 - 4*phase // falling half
-	}
-	return amplitude * v
-}
-
 // RCQuasiTriangle models the quasi-triangle waveform obtained by driving an
 // RC charge-discharge circuit from a square wave, as the paper proposes for
 // the PDM modulation source (§II-C). The output swings between roughly

@@ -1,14 +1,13 @@
 // Package signal provides the sampled-waveform substrate for the DIVOT
-// simulation: uniformly sampled analog signals with arithmetic, convolution,
-// fractional delay, inner products, and the edge/triangle generators the iTDR
-// front end needs.
+// simulation: uniformly sampled analog signals with arithmetic, inner
+// products, smoothing, time stretch, and the edge and modulator generators the
+// iTDR front end needs.
 //
 // Time is expressed in seconds and rates in samples per second throughout.
 package signal
 
 import (
 	"fmt"
-	"math"
 )
 
 // Waveform is a uniformly sampled real-valued signal. Samples[i] is the value
@@ -48,9 +47,6 @@ func (w *Waveform) Len() int { return len(w.Samples) }
 // Duration returns the time span covered by the waveform.
 func (w *Waveform) Duration() float64 { return float64(len(w.Samples)) / w.Rate }
 
-// Dt returns the sample period.
-func (w *Waveform) Dt() float64 { return 1 / w.Rate }
-
 // TimeOf returns the time of sample i.
 func (w *Waveform) TimeOf(i int) float64 { return float64(i) / w.Rate }
 
@@ -71,23 +67,6 @@ func (w *Waveform) At(t float64) float64 {
 	i := int(pos)
 	frac := pos - float64(i)
 	return w.Samples[i]*(1-frac) + w.Samples[i+1]*frac
-}
-
-// Resample returns a new waveform at the given rate covering the same span,
-// using linear interpolation.
-func (w *Waveform) Resample(rate float64) *Waveform {
-	if rate <= 0 {
-		panic(fmt.Sprintf("signal: non-positive rate %v", rate))
-	}
-	n := int(math.Round(w.Duration() * rate))
-	if n < 1 {
-		n = 1
-	}
-	out := New(rate, n)
-	for i := range out.Samples {
-		out.Samples[i] = w.At(float64(i) / rate)
-	}
-	return out
 }
 
 // Slice returns the sub-waveform covering sample indices [lo, hi).

@@ -1,7 +1,6 @@
 package signal
 
 import (
-	"math"
 	"testing"
 )
 
@@ -12,9 +11,6 @@ func TestNewAndAccessors(t *testing.T) {
 	}
 	if w.Duration() != 100e-9 {
 		t.Errorf("Duration = %v", w.Duration())
-	}
-	if w.Dt() != 1e-9 {
-		t.Errorf("Dt = %v", w.Dt())
 	}
 	if w.TimeOf(10) != 10e-9 {
 		t.Errorf("TimeOf(10) = %v", w.TimeOf(10))
@@ -50,23 +46,6 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestResampleRoundTrip(t *testing.T) {
-	w := New(1e6, 1000)
-	for i := range w.Samples {
-		w.Samples[i] = math.Sin(2 * math.Pi * 1e3 * w.TimeOf(i))
-	}
-	up := w.Resample(4e6)
-	down := up.Resample(1e6)
-	if down.Len() != w.Len() {
-		t.Fatalf("round-trip length %d, want %d", down.Len(), w.Len())
-	}
-	for i := range w.Samples {
-		if math.Abs(down.Samples[i]-w.Samples[i]) > 1e-3 {
-			t.Fatalf("round-trip sample %d differs: %v vs %v", i, down.Samples[i], w.Samples[i])
-		}
-	}
-}
-
 func TestSliceSharesStorage(t *testing.T) {
 	w := FromSamples(1, []float64{1, 2, 3, 4})
 	s := w.Slice(1, 3)
@@ -84,7 +63,6 @@ func TestConstructorPanics(t *testing.T) {
 		"zero rate":  func() { New(0, 1) },
 		"neg length": func() { New(1, -1) },
 		"bad wrap":   func() { FromSamples(-1, nil) },
-		"bad resamp": func() { New(1, 1).Resample(0) },
 	} {
 		func() {
 			defer func() {

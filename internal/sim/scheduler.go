@@ -103,9 +103,6 @@ func (s *Scheduler) After(d Time, fn func()) {
 	s.At(s.now+d, fn)
 }
 
-// Pending returns the number of queued events.
-func (s *Scheduler) Pending() int { return len(s.queue) }
-
 // Step runs the next event, advancing time to it. It reports whether an
 // event was run.
 func (s *Scheduler) Step() bool {
@@ -147,40 +144,19 @@ func (s *Scheduler) Run(maxEvents int) int {
 	return n
 }
 
-// Clock derives periodic ticks from a scheduler.
+// Clock converts between cycle counts and scheduler time.
 type Clock struct {
 	// Period is the clock period.
 	Period Time
-	sched  *Scheduler
 }
 
 // NewClock returns a clock with the given frequency in Hz.
-func NewClock(s *Scheduler, freqHz float64) *Clock {
+func NewClock(freqHz float64) *Clock {
 	if freqHz <= 0 {
 		panic(fmt.Sprintf("sim: non-positive clock frequency %v", freqHz))
 	}
-	return &Clock{Period: FromSeconds(1 / freqHz), sched: s}
+	return &Clock{Period: FromSeconds(1 / freqHz)}
 }
 
 // CyclesToTime converts a cycle count to a duration.
 func (c *Clock) CyclesToTime(cycles int64) Time { return Time(cycles) * c.Period }
-
-// TimeToCycles converts a duration to whole cycles, rounding up — an
-// operation that takes any fraction of a cycle occupies the whole cycle.
-func (c *Clock) TimeToCycles(d Time) int64 {
-	return int64((d + c.Period - 1) / c.Period)
-}
-
-// EveryCycle schedules fn on each clock edge starting one period from now,
-// until fn returns false.
-func (c *Clock) EveryCycle(fn func(cycle int64) bool) {
-	var tick func()
-	cycle := int64(0)
-	tick = func() {
-		cycle++
-		if fn(cycle) {
-			c.sched.After(c.Period, tick)
-		}
-	}
-	c.sched.After(c.Period, tick)
-}

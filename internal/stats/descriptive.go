@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"math"
 	"sort"
 )
 
@@ -16,23 +15,6 @@ func Mean(xs []float64) float64 {
 	}
 	return s / float64(len(xs))
 }
-
-// Variance returns the population variance of xs, or 0 when len(xs) < 2.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // MinMax returns the smallest and largest elements of xs.
 // It returns (0, 0) for an empty slice.
@@ -77,60 +59,3 @@ func Quantile(xs []float64, q float64) float64 {
 
 // Median returns the 0.5 quantile of xs.
 func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
-
-// Summary holds descriptive statistics for a sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	Max    float64
-	Median float64
-}
-
-// Summarize computes descriptive statistics for xs in one pass over the
-// sorted data.
-func Summarize(xs []float64) Summary {
-	lo, hi := MinMax(xs)
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		StdDev: StdDev(xs),
-		Min:    lo,
-		Max:    hi,
-		Median: Median(xs),
-	}
-}
-
-// Running accumulates mean and variance incrementally (Welford's algorithm).
-// The zero value is ready to use.
-type Running struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add incorporates x into the running statistics.
-func (r *Running) Add(x float64) {
-	r.n++
-	d := x - r.mean
-	r.mean += d / float64(r.n)
-	r.m2 += d * (x - r.mean)
-}
-
-// N returns the number of samples added.
-func (r *Running) N() int { return r.n }
-
-// Mean returns the running mean.
-func (r *Running) Mean() float64 { return r.mean }
-
-// Variance returns the running population variance.
-func (r *Running) Variance() float64 {
-	if r.n < 2 {
-		return 0
-	}
-	return r.m2 / float64(r.n)
-}
-
-// StdDev returns the running population standard deviation.
-func (r *Running) StdDev() float64 { return math.Sqrt(r.Variance()) }

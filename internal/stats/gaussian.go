@@ -47,6 +47,3 @@ func (g Gaussian) Quantile(p float64) float64 {
 	}
 	return g.Mean + g.Sigma*math.Sqrt2*math.Erfinv(2*p-1)
 }
-
-// Variance returns Sigma squared.
-func (g Gaussian) Variance() float64 { return g.Sigma * g.Sigma }

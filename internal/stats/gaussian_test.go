@@ -66,9 +66,3 @@ func TestNewGaussianPanicsOnBadSigma(t *testing.T) {
 	}()
 	NewGaussian(0, 0)
 }
-
-func TestGaussianVariance(t *testing.T) {
-	if got := NewGaussian(0, 3).Variance(); got != 9 {
-		t.Errorf("Variance = %v, want 9", got)
-	}
-}

@@ -173,16 +173,6 @@ type HostConfig struct {
 	FailFast bool
 }
 
-// DefaultHostConfig returns a 1 GHz link with NVMe-ish constants.
-func DefaultHostConfig() HostConfig {
-	return HostConfig{
-		LinkClockHz:       1e9,
-		CmdOverheadCycles: 64,
-		MediaCycles:       4096,
-		FailFast:          false,
-	}
-}
-
 // Host is the host-side command queue over the protected link.
 type Host struct {
 	sched  *sim.Scheduler
@@ -212,7 +202,7 @@ func NewHost(sched *sim.Scheduler, dev *Device, cfg HostConfig, hostGate memctl.
 	}
 	return &Host{
 		sched: sched,
-		clock: sim.NewClock(sched, cfg.LinkClockHz),
+		clock: sim.NewClock(cfg.LinkClockHz),
 		cfg:   cfg,
 		dev:   dev,
 		gate:  hostGate,
@@ -228,9 +218,6 @@ func (h *Host) Submit(c *Command) uint64 {
 	h.kick()
 	return c.ID
 }
-
-// QueueDepth returns the number of waiting commands.
-func (h *Host) QueueDepth() int { return len(h.queue) }
 
 func (h *Host) kick() {
 	if h.busy {

@@ -35,10 +35,19 @@ func (r *rig) submit(op CmdOp, lba int64, data []byte) {
 		Done: func(c Completion) { r.comps = append(r.comps, c) }})
 }
 
+// testHostConfig is a 1 GHz link with NVMe-ish constants.
+func testHostConfig() HostConfig {
+	return HostConfig{
+		LinkClockHz:       1e9,
+		CmdOverheadCycles: 64,
+		MediaCycles:       4096,
+	}
+}
+
 func block(b byte) []byte { return bytes.Repeat([]byte{b}, BlockSize) }
 
 func TestReadWriteTrimRoundTrip(t *testing.T) {
-	r := newRig(t, nil, nil, DefaultHostConfig())
+	r := newRig(t, nil, nil, testHostConfig())
 	r.submit(CmdWrite, 7, block(0xAB))
 	r.submit(CmdRead, 7, nil)
 	r.submit(CmdTrim, 7, nil)
@@ -66,7 +75,7 @@ func TestReadWriteTrimRoundTrip(t *testing.T) {
 }
 
 func TestUnwrittenBlockReadsZero(t *testing.T) {
-	r := newRig(t, nil, nil, DefaultHostConfig())
+	r := newRig(t, nil, nil, testHostConfig())
 	r.submit(CmdRead, 100, nil)
 	r.sched.Run(1 << 20)
 	for _, b := range r.comps[0].Data {
@@ -77,7 +86,7 @@ func TestUnwrittenBlockReadsZero(t *testing.T) {
 }
 
 func TestOutOfRangeLBA(t *testing.T) {
-	r := newRig(t, nil, nil, DefaultHostConfig())
+	r := newRig(t, nil, nil, testHostConfig())
 	r.submit(CmdRead, 5000, nil)
 	r.submit(CmdRead, -1, nil)
 	r.sched.Run(1 << 20)
@@ -93,7 +102,7 @@ func TestDeviceGateBlocksStolenDrive(t *testing.T) {
 	// the device-side gate (driven by the drive's own iTDR) is closed and
 	// the media refuses to serve.
 	devGate := memctl.NewStaticGate(true)
-	r := newRig(t, nil, devGate, DefaultHostConfig())
+	r := newRig(t, nil, devGate, testHostConfig())
 	r.submit(CmdWrite, 3, block(0x42))
 	r.sched.Run(1 << 20)
 	devGate.Set(false) // drive now sees a foreign bus
@@ -118,14 +127,14 @@ func TestDeviceGateBlocksStolenDrive(t *testing.T) {
 
 func TestHostGateStallsThenRecovers(t *testing.T) {
 	hostGate := memctl.NewStaticGate(false)
-	r := newRig(t, hostGate, nil, DefaultHostConfig())
+	r := newRig(t, hostGate, nil, testHostConfig())
 	r.submit(CmdRead, 0, nil)
 	r.sched.RunUntil(10 * sim.Microsecond)
 	if len(r.comps) != 0 {
 		t.Fatal("command completed while host gate closed")
 	}
-	if r.host.QueueDepth() != 1 {
-		t.Fatalf("queue depth %d", r.host.QueueDepth())
+	if len(r.host.queue) != 1 {
+		t.Fatalf("queue depth %d", len(r.host.queue))
 	}
 	hostGate.Set(true)
 	r.sched.Run(1 << 20)
@@ -138,7 +147,7 @@ func TestHostGateStallsThenRecovers(t *testing.T) {
 }
 
 func TestHostGateFailFast(t *testing.T) {
-	cfg := DefaultHostConfig()
+	cfg := testHostConfig()
 	cfg.FailFast = true
 	hostGate := memctl.NewStaticGate(false)
 	r := newRig(t, hostGate, nil, cfg)
@@ -159,7 +168,7 @@ func TestHostGateFailFast(t *testing.T) {
 }
 
 func TestLatencyModel(t *testing.T) {
-	r := newRig(t, nil, nil, DefaultHostConfig())
+	r := newRig(t, nil, nil, testHostConfig())
 	r.submit(CmdTrim, 0, nil)
 	r.submit(CmdRead, 0, nil)
 	r.sched.Run(1 << 20)
@@ -175,12 +184,12 @@ func TestConstructorValidation(t *testing.T) {
 	}
 	sched := &sim.Scheduler{}
 	dev, _ := NewDevice(8, nil)
-	bad := DefaultHostConfig()
+	bad := testHostConfig()
 	bad.LinkClockHz = 0
 	if _, err := NewHost(sched, dev, bad, nil); err == nil {
 		t.Error("expected clock error")
 	}
-	bad = DefaultHostConfig()
+	bad = testHostConfig()
 	bad.MediaCycles = 0
 	if _, err := NewHost(sched, dev, bad, nil); err == nil {
 		t.Error("expected latency error")
@@ -188,7 +197,7 @@ func TestConstructorValidation(t *testing.T) {
 }
 
 func TestBadWriteSizePanicsViaDeviceError(t *testing.T) {
-	r := newRig(t, nil, nil, DefaultHostConfig())
+	r := newRig(t, nil, nil, testHostConfig())
 	r.submit(CmdWrite, 0, []byte{1, 2, 3})
 	defer func() {
 		if recover() == nil {

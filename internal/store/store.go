@@ -34,16 +34,13 @@ type Backend interface {
 	Close() error
 }
 
-// Memory is the in-memory Backend for tests: same semantics, no disk. The
-// Corrupt* helpers let tests exercise the validation paths.
+// Memory is the in-memory Backend for tests: same semantics, no disk.
+// CorruptSnapshot lets tests exercise the validation path.
 type Memory struct {
-	mu        sync.Mutex
-	snaps     map[string]memSnap
-	history   [][]byte
-	audit     [][]byte
-	histTorn  int64 // bytes "skipped" reported by ReplayHistory
-	histCut   int   // records hidden from replay (simulated torn tail)
-	snapCount int
+	mu      sync.Mutex
+	snaps   map[string]memSnap
+	history [][]byte
+	audit   [][]byte
 }
 
 type memSnap struct {
@@ -64,7 +61,6 @@ func (m *Memory) SaveSnapshot(bus, specHash string, payload []byte) error {
 	cp := make([]byte, len(payload))
 	copy(cp, payload)
 	m.snaps[bus] = memSnap{specHash: specHash, payload: cp}
-	m.snapCount++
 	return nil
 }
 
@@ -101,17 +97,13 @@ func (m *Memory) AppendHistory(rec []byte) error {
 func (m *Memory) ReplayHistory(fn func(rec []byte) error) (int64, error) {
 	m.mu.Lock()
 	recs := m.history
-	if m.histCut > 0 && m.histCut <= len(recs) {
-		recs = recs[:len(recs)-m.histCut]
-	}
-	torn := m.histTorn
 	m.mu.Unlock()
 	for _, r := range recs {
 		if err := fn(r); err != nil {
-			return torn, err
+			return 0, err
 		}
 	}
-	return torn, nil
+	return 0, nil
 }
 
 // AppendAudit implements Backend.
@@ -140,22 +132,6 @@ func (m *Memory) CorruptSnapshot(bus string) {
 		s.corrupt = true
 		m.snaps[bus] = s
 	}
-}
-
-// TearHistoryTail hides the newest n history records from replay and reports
-// torn bytes, simulating a crash that caught the WAL mid-record.
-func (m *Memory) TearHistoryTail(n int, bytes int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.histCut = n
-	m.histTorn = bytes
-}
-
-// Snapshots reports how many snapshot writes the backend has taken.
-func (m *Memory) Snapshots() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.snapCount
 }
 
 // AuditLines returns the retained audit lines (test inspection).
@@ -253,9 +229,6 @@ func (d *Dir) AppendAudit(line []byte) error { return d.audit.Append(line) }
 
 // HistoryWAL exposes the history log (smoke-test and stats access).
 func (d *Dir) HistoryWAL() *WAL { return d.history }
-
-// AuditWAL exposes the audit log (smoke-test and stats access).
-func (d *Dir) AuditWAL() *WAL { return d.audit }
 
 // Sync implements Backend.
 func (d *Dir) Sync() error {

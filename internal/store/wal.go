@@ -206,13 +206,6 @@ func (w *WAL) TruncatedBytes() int64 {
 	return w.truncated
 }
 
-// Segments reports how many segment files are currently retained.
-func (w *WAL) Segments() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.segs)
-}
-
 // Append writes one record. Rotation and retention run inline when the live
 // segment fills up.
 func (w *WAL) Append(payload []byte) error {

@@ -80,7 +80,7 @@ func TestWALRotationAndRetention(t *testing.T) {
 			t.Fatalf("Append: %v", err)
 		}
 	}
-	if n := w.Segments(); n != 3 {
+	if n := len(w.segs); n != 3 {
 		t.Fatalf("retained %d segments, want 3 (compaction bound)", n)
 	}
 	entries, err := os.ReadDir(dir)
@@ -164,8 +164,8 @@ func TestWALMidSegmentCorruption(t *testing.T) {
 	if err := w.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if w.Segments() < 3 {
-		t.Fatalf("want ≥3 segments, got %d", w.Segments())
+	if len(w.segs) < 3 {
+		t.Fatalf("want ≥3 segments, got %d", len(w.segs))
 	}
 	// Flip a payload byte in the middle of the first segment.
 	path := filepath.Join(dir, segName(1))

@@ -29,7 +29,6 @@ type Subscription struct {
 	bus    *Bus
 	ch     chan Event
 	filter uint64 // bitmask over EventKind; 0 = everything
-	drops  atomic.Uint64
 	closed atomic.Bool
 }
 
@@ -112,7 +111,6 @@ func (b *Bus) Publish(ev Event) uint64 {
 		select {
 		case s.ch <- ev:
 		default:
-			s.drops.Add(1)
 			b.dropped.Add(1)
 		}
 	}
@@ -148,9 +146,6 @@ func (b *Bus) Dropped() uint64 { return b.dropped.Load() }
 
 // Events is the subscriber's receive channel. It is closed by Close.
 func (s *Subscription) Events() <-chan Event { return s.ch }
-
-// Drops returns how many events this subscriber missed to a full queue.
-func (s *Subscription) Drops() uint64 { return s.drops.Load() }
 
 // Close unregisters the subscription and closes its channel. Safe to call
 // more than once.

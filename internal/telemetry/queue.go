@@ -33,10 +33,9 @@ type Queue struct {
 	// queue after each receive.
 	notify chan struct{}
 
-	coalesced atomic.Uint64
-	dropped   atomic.Uint64
-	// coalescedC/droppedC mirror the counts into registry counters when
-	// Instrument attached them (nil otherwise).
+	dropped atomic.Uint64
+	// coalescedC/droppedC are the registry counters Instrument attached (nil
+	// otherwise); only the drop count is also kept locally, for Dropped.
 	coalescedC *Counter
 	droppedC   *Counter
 }
@@ -125,7 +124,6 @@ func (q *Queue) ring() {
 }
 
 func (q *Queue) bumpCoalesced() {
-	q.coalesced.Add(1)
 	if q.coalescedC != nil {
 		q.coalescedC.Inc()
 	}
@@ -162,9 +160,6 @@ func (q *Queue) Len() int {
 	defer q.mu.Unlock()
 	return q.n
 }
-
-// Coalesced returns how many events were folded into a fresher pending one.
-func (q *Queue) Coalesced() uint64 { return q.coalesced.Load() }
 
 // Dropped returns how many events were lost outright to a full queue.
 func (q *Queue) Dropped() uint64 { return q.dropped.Load() }

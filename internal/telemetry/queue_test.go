@@ -21,6 +21,8 @@ func drain(q *Queue) []Event {
 // nothing is coalesced or dropped.
 func TestQueueFIFOUnderCapacity(t *testing.T) {
 	q := NewQueue(8)
+	var coalesced Counter
+	q.Instrument(&coalesced, nil)
 	for i := 0; i < 5; i++ {
 		q.Push(Event{Kind: EventAlert, Link: "a", Round: uint64(i)})
 	}
@@ -33,8 +35,8 @@ func TestQueueFIFOUnderCapacity(t *testing.T) {
 			t.Errorf("event %d has round %d, want %d (order broken)", i, ev.Round, i)
 		}
 	}
-	if q.Coalesced() != 0 || q.Dropped() != 0 {
-		t.Errorf("counters = %d/%d, want 0/0", q.Coalesced(), q.Dropped())
+	if coalesced.Value() != 0 || q.Dropped() != 0 {
+		t.Errorf("counters = %d/%d, want 0/0", coalesced.Value(), q.Dropped())
 	}
 }
 
@@ -43,11 +45,13 @@ func TestQueueFIFOUnderCapacity(t *testing.T) {
 // the counter records the fold, nothing blocks.
 func TestQueueCoalescesPeriodicKinds(t *testing.T) {
 	q := NewQueue(2)
+	var coalesced Counter
+	q.Instrument(&coalesced, nil)
 	q.Push(Event{Kind: EventHealth, Link: "a", Round: 1})
 	q.Push(Event{Kind: EventRound, Link: "a", Round: 1})
 	q.Push(Event{Kind: EventHealth, Link: "a", Round: 9}) // full → coalesce
-	if q.Coalesced() != 1 {
-		t.Fatalf("Coalesced = %d, want 1", q.Coalesced())
+	if coalesced.Value() != 1 {
+		t.Fatalf("Coalesced = %d, want 1", coalesced.Value())
 	}
 	got := drain(q)
 	if len(got) != 2 {
@@ -183,6 +187,8 @@ func TestBusSeedSeq(t *testing.T) {
 // for as delivered, coalesced, or dropped.
 func TestQueueConcurrentPushPop(t *testing.T) {
 	q := NewQueue(64)
+	var coalesced Counter
+	q.Instrument(&coalesced, nil)
 	const workers, perWorker = 8, 500
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -224,9 +230,9 @@ func TestQueueConcurrentPushPop(t *testing.T) {
 	wg.Wait()
 	done <- 0
 	seen := <-done
-	total := uint64(seen) + q.Coalesced() + q.Dropped()
+	total := uint64(seen) + coalesced.Value() + q.Dropped()
 	if total != workers*perWorker {
 		t.Errorf("accounting: delivered %d + coalesced %d + dropped %d = %d, want %d",
-			seen, q.Coalesced(), q.Dropped(), total, workers*perWorker)
+			seen, coalesced.Value(), q.Dropped(), total, workers*perWorker)
 	}
 }

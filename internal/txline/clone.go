@@ -37,16 +37,6 @@ type CloneSpec struct {
 	MatchTermination bool
 }
 
-// DefaultCloneSpec is a capable attacker: 3 mm control, victim-grade
-// residual randomness, trimmed termination.
-func DefaultCloneSpec() CloneSpec {
-	return CloneSpec{
-		ControlResolution:   3e-3,
-		ResidualContrastRMS: 0.010,
-		MatchTermination:    true,
-	}
-}
-
 // CloneLine fabricates the attacker's best replica of the victim.
 func CloneLine(victim *Line, spec CloneSpec, stream *rng.Stream) *Line {
 	if spec.ControlResolution <= 0 {

@@ -22,7 +22,7 @@ func cloneSim(t *testing.T, spec CloneSpec) float64 {
 func TestCloneBeatsRandomImpostor(t *testing.T) {
 	// A clone with the stolen profile must correlate better than a random
 	// line — otherwise the attacker model is vacuous.
-	clone := cloneSim(t, DefaultCloneSpec())
+	clone := cloneSim(t, capableClone())
 	victim := New("victim", DefaultConfig(), rng.New(60))
 	random := New("random", DefaultConfig(), rng.New(62))
 	probe := DefaultProbe()
@@ -39,7 +39,7 @@ func TestCloneBeatsRandomImpostor(t *testing.T) {
 func TestCloneStillFallsShortOfGenuine(t *testing.T) {
 	// The PUF claim: even a capable clone stays well below a genuine
 	// re-measurement, because the sub-window randomness cannot be copied.
-	sim := cloneSim(t, DefaultCloneSpec())
+	sim := cloneSim(t, capableClone())
 	if sim > 0.8 {
 		t.Errorf("3 mm-resolution clone reached similarity %v; PUF margin too thin", sim)
 	}
@@ -73,14 +73,24 @@ func TestClonePanicsOnBadResolution(t *testing.T) {
 
 func TestCloneMatchedTermination(t *testing.T) {
 	victim := New("victim", DefaultConfig(), rng.New(65))
-	matched := CloneLine(victim, DefaultCloneSpec(), rng.New(66))
+	matched := CloneLine(victim, capableClone(), rng.New(66))
 	if matched.Termination() != victim.Termination() {
 		t.Error("matched clone should copy the termination")
 	}
-	spec := DefaultCloneSpec()
+	spec := capableClone()
 	spec.MatchTermination = false
 	unmatched := CloneLine(victim, spec, rng.New(67))
 	if unmatched.Termination() == victim.Termination() {
 		t.Error("unmatched clone should draw its own termination")
+	}
+}
+
+// capableClone is a capable attacker: 3 mm control, victim-grade residual
+// randomness, trimmed termination.
+func capableClone() CloneSpec {
+	return CloneSpec{
+		ControlResolution:   3e-3,
+		ResidualContrastRMS: 0.010,
+		MatchTermination:    true,
 	}
 }

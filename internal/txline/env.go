@@ -138,12 +138,3 @@ func (c Condition) CrosstalkAt(t float64) float64 {
 	z := (t - c.CrosstalkOffsetSec) / c.CrosstalkWidthSec
 	return c.CrosstalkAmplitude * math.Exp(-0.5*z*z)
 }
-
-// EMIAt returns the interference voltage at absolute time t within the
-// measurement described by c.
-func (c Condition) EMIAt(t float64) float64 {
-	if c.EMIAmplitude == 0 {
-		return 0
-	}
-	return c.EMIAmplitude * math.Sin(2*math.Pi*c.EMIFreq*t+c.EMIPhase)
-}

@@ -225,9 +225,6 @@ func (l *Line) ID() string { return l.id }
 // Config returns the construction parameters.
 func (l *Line) Config() Config { return l.cfg }
 
-// Segments returns the number of impedance segments.
-func (l *Line) Segments() int { return len(l.baseZ) }
-
 // RoundTripTime returns the total source-to-termination-and-back propagation
 // time in seconds.
 func (l *Line) RoundTripTime() float64 { return 2 * l.cfg.Length / l.cfg.Velocity }
@@ -257,12 +254,6 @@ func (l *Line) ApplyPerturbation(name string, p Perturbation) {
 // name is a no-op, matching the semantics of detaching a probe that was
 // never attached.
 func (l *Line) RemovePerturbation(name string) { delete(l.perturb, name) }
-
-// HasPerturbation reports whether the named modification is present.
-func (l *Line) HasPerturbation(name string) bool {
-	_, ok := l.perturb[name]
-	return ok
-}
 
 // Perturbations returns a copy of the active modifications.
 func (l *Line) Perturbations() []Perturbation {
@@ -304,20 +295,10 @@ func (l *Line) ReplaceTail(pos, z float64) (restore func()) {
 // time at which a reflection from that position arrives back at the source.
 func (l *Line) PositionToTime(pos float64) float64 { return 2 * pos / l.cfg.Velocity }
 
-// TimeToPosition converts a round-trip arrival time into the distance from
-// the source of the reflecting feature.
-func (l *Line) TimeToPosition(t float64) float64 { return t * l.cfg.Velocity / 2 }
-
-// effectiveProfile computes the per-segment impedance under the given
+// effectiveProfileInto computes the per-segment impedance under the given
 // environment state (common thermal scaling, differential drift, and active
-// perturbations) plus the effective termination. The returned slice is
-// freshly allocated.
-func (l *Line) effectiveProfile(deltaT float64) ([]float64, float64) {
-	return l.effectiveProfileInto(nil, deltaT)
-}
-
-// effectiveProfileInto is effectiveProfile appending into a reusable scratch
-// slice (pass scratch[:0] to recycle its storage).
+// perturbations) plus the effective termination, appending into a reusable
+// scratch slice (pass scratch[:0] to recycle its storage, nil to allocate).
 func (l *Line) effectiveProfileInto(scratch []float64, deltaT float64) ([]float64, float64) {
 	common := 1 + l.cfg.TempCoeffCommon*deltaT
 	z := scratch

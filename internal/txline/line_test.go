@@ -14,7 +14,7 @@ func testLine(id string, seed uint64) *Line {
 func TestNewDeterministic(t *testing.T) {
 	a := testLine("L", 1)
 	b := testLine("L", 1)
-	for i := 0; i < a.Segments(); i++ {
+	for i := 0; i < len(a.baseZ); i++ {
 		if a.baseZ[i] != b.baseZ[i] {
 			t.Fatal("same seed should reproduce the same IIP")
 		}
@@ -25,13 +25,13 @@ func TestNewDifferentSeedsDiffer(t *testing.T) {
 	a := testLine("L", 1)
 	b := testLine("L", 2)
 	same := 0
-	for i := 0; i < a.Segments(); i++ {
+	for i := 0; i < len(a.baseZ); i++ {
 		if a.baseZ[i] == b.baseZ[i] {
 			same++
 		}
 	}
-	if same > a.Segments()/10 {
-		t.Errorf("%d/%d identical segments across seeds", same, a.Segments())
+	if same > len(a.baseZ)/10 {
+		t.Errorf("%d/%d identical segments across seeds", same, len(a.baseZ))
 	}
 }
 
@@ -43,7 +43,7 @@ func TestProfileContrast(t *testing.T) {
 		d := (z - cfg.Z0) / cfg.Z0
 		ss += d * d
 	}
-	rms := math.Sqrt(ss / float64(l.Segments()))
+	rms := math.Sqrt(ss / float64(len(l.baseZ)))
 	if math.Abs(rms-cfg.ContrastRMS)/cfg.ContrastRMS > 0.05 {
 		t.Errorf("profile RMS contrast = %v, want ~%v", rms, cfg.ContrastRMS)
 	}
@@ -53,15 +53,15 @@ func TestSegmentsAndGeometry(t *testing.T) {
 	l := testLine("L", 4)
 	cfg := l.Config()
 	want := int(math.Round(cfg.Length / cfg.SegmentLength))
-	if l.Segments() != want {
-		t.Errorf("Segments = %d, want %d", l.Segments(), want)
+	if len(l.baseZ) != want {
+		t.Errorf("Segments = %d, want %d", len(l.baseZ), want)
 	}
 	rt := l.RoundTripTime()
 	if math.Abs(rt-2*0.25/1.5e8) > 1e-15 {
 		t.Errorf("RoundTripTime = %v", rt)
 	}
-	if got := l.TimeToPosition(l.PositionToTime(0.1)); math.Abs(got-0.1) > 1e-12 {
-		t.Errorf("position/time round trip = %v", got)
+	if got := l.PositionToTime(0.1); math.Abs(got-2*0.1/1.5e8) > 1e-15 {
+		t.Errorf("PositionToTime(0.1) = %v", got)
 	}
 }
 
@@ -88,16 +88,16 @@ func TestPerturbationLifecycle(t *testing.T) {
 	l := testLine("L", 6)
 	p := Perturbation{Position: 0.1, Extent: 2e-3, DeltaZ: -10}
 	l.ApplyPerturbation("tap", p)
-	if !l.HasPerturbation("tap") {
+	if _, ok := l.perturb["tap"]; !ok {
 		t.Error("perturbation not recorded")
 	}
-	z, _ := l.effectiveProfile(0)
+	z, _ := l.effectiveProfileInto(nil, 0)
 	seg := int(0.1 / l.Config().SegmentLength)
 	if math.Abs(z[seg]-(l.baseZ[seg]-10)) > 1e-9 {
 		t.Errorf("perturbed segment %d = %v, want %v", seg, z[seg], l.baseZ[seg]-10)
 	}
 	l.RemovePerturbation("tap")
-	if l.HasPerturbation("tap") {
+	if _, ok := l.perturb["tap"]; ok {
 		t.Error("perturbation not removed")
 	}
 	l.RemovePerturbation("never-there") // must be a no-op
@@ -115,8 +115,8 @@ func TestPerturbationOutOfRangePanics(t *testing.T) {
 
 func TestTemperatureCommonModeDominates(t *testing.T) {
 	l := testLine("L", 8)
-	z0, _ := l.effectiveProfile(0)
-	z50, _ := l.effectiveProfile(50)
+	z0, _ := l.effectiveProfileInto(nil, 0)
+	z50, _ := l.effectiveProfileInto(nil, 50)
 	cfg := l.Config()
 	wantScale := 1 + cfg.TempCoeffCommon*50
 	for i := range z0 {

@@ -193,17 +193,3 @@ func addEdge(out []float64, amp, tEv, window, sigma, rate float64) int {
 	}
 	return hiIdx
 }
-
-// TotalReflectionEnergyBound returns the sum of absolute reflection
-// coefficients — an upper bound on the reflected amplitude relative to the
-// incident edge, used to check passivity.
-func (l *Line) TotalReflectionEnergyBound() float64 {
-	z, term := l.effectiveProfile(0)
-	var s float64
-	for i := 0; i < len(z)-1; i++ {
-		s += math.Abs((z[i+1] - z[i]) / (z[i+1] + z[i]))
-	}
-	zLast := z[len(z)-1]
-	s += math.Abs((term - zLast) / (term + zLast))
-	return s
-}

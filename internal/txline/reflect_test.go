@@ -120,7 +120,7 @@ func TestMidlinePerturbationLocalized(t *testing.T) {
 	after := reflectAt(l, 0, 1)
 	diff := signal.Sub(after, before)
 	peakIdx, _ := signal.PeakIndex(diff)
-	peakPos := l.TimeToPosition(diff.TimeOf(peakIdx))
+	peakPos := diff.TimeOf(peakIdx) * l.Config().Velocity / 2
 	if math.Abs(peakPos-pos) > 0.01 {
 		t.Errorf("perturbation localized at %v m, want ~%v m", peakPos, pos)
 	}

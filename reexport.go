@@ -129,9 +129,6 @@ type (
 	TamperVerdict = fingerprint.TamperVerdict
 	// AlignResult is a stretch-compensated match (extension).
 	AlignResult = fingerprint.AlignResult
-	// FixedPointScorer scores Eq. 4 on an integer datapath — the form a
-	// hardware implementation synthesizes.
-	FixedPointScorer = fingerprint.FixedPointScorer
 	// BinMask marks dead ETS bins that matching renormalizes around.
 	BinMask = fingerprint.BinMask
 )
