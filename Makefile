@@ -49,14 +49,17 @@ bench:
 
 ## bench-guard: fail if a hot path leaks allocation back in or regresses
 ## past the recorded snapshot — benchsnap -max-allocs checks the monitoring
-## round and warm re-calibration against their budgets, and -compare diffs
-## both against BENCH_$(PR).json with a $(BENCH_MAX_REGRESS)% ceiling. The
-## snapshot was recorded at one proc, so both targets pin -cpu 1 to keep
-## ns/op comparable with it
+## round, the spot check and warm re-calibration against their budgets, and
+## -compare diffs them and the capture kernel (ReflectionSynthesis,
+## IIPMeasurement) against BENCH_$(PR).json with a $(BENCH_MAX_REGRESS)%
+## ceiling. The snapshot was recorded at one proc, so both targets pin
+## -cpu 1 to keep ns/op comparable with it. A spot check captures on one
+## goroutine like a monitoring round, so it gets the round's ≤2 allocs/op
 bench-guard:
-	$(GO) test . -run XXX -bench 'MonitorRound$$|Calibrate$$' -benchtime 20x -benchmem -cpu 1 \
+	$(GO) test . -run XXX -bench 'MonitorRound$$|Calibrate$$|ReflectionSynthesis$$|IIPMeasurement$$|Authenticate$$' -benchtime 20x -benchmem -cpu 1 \
 		| $(GO) run ./cmd/benchsnap \
 			-max-allocs 'MonitorRound=$(MONITOR_ALLOC_BUDGET)' \
+			-max-allocs 'Authenticate=2' \
 			-max-allocs 'Calibrate=$(CALIB_ALLOC_BUDGET)' \
 			-compare BENCH_$(PR).json -max-regress $(BENCH_MAX_REGRESS) > /dev/null
 

@@ -17,41 +17,48 @@ func (e *Endpoint) ExportEnrollment(w io.Writer) error {
 	return f.Encode(w)
 }
 
-// ImportEnrollment installs a previously exported fingerprint, opening the
-// endpoint's gate — the power-on path of a system whose calibration happened
-// at manufacturing time (§III) and was retained in EPROM.
-func (e *Endpoint) ImportEnrollment(r io.Reader) error {
+// decodeEnrollment reads a fingerprint written by ExportEnrollment and checks
+// it against the endpoint's instrument grid, installing nothing.
+func (e *Endpoint) decodeEnrollment(r io.Reader) (fingerprint.IIP, error) {
 	f, err := fingerprint.DecodeIIP(r, e.pipeline)
 	if err != nil {
-		return fmt.Errorf("core: %s endpoint import: %w", e.Side, err)
+		return fingerprint.IIP{}, fmt.Errorf("core: %s endpoint import: %w", e.Side, err)
 	}
 	if err := e.checkGrid(f.Raw.Rate, f.Raw.Len()); err != nil {
-		return fmt.Errorf("core: import: %w", err)
+		return fingerprint.IIP{}, fmt.Errorf("core: import: %w", err)
 	}
-	if err := e.store.Enroll(enrollKey, f); err != nil {
-		return fmt.Errorf("core: %s endpoint import: %w", e.Side, err)
-	}
-	return nil
+	return f, nil
 }
 
 // RestoreCalibration installs previously exported enrollments on both
 // endpoints and re-derives the tamper thresholds from the current clean
 // state, leaving the link ready to monitor — the boot path of an
-// already-paired system.
+// already-paired system whose calibration happened at manufacturing time
+// (§III) and was retained in EPROM. Both images are decoded and grid-checked
+// before either is installed, so a rejected image leaves both endpoints
+// untouched.
 func (l *Link) RestoreCalibration(cpu, module io.Reader) error {
+	cpuF, err := l.CPU.decodeEnrollment(cpu)
+	if err != nil {
+		return err
+	}
+	modF, err := l.Module.decodeEnrollment(module)
+	if err != nil {
+		return err
+	}
 	for _, pair := range []struct {
 		e *Endpoint
-		r io.Reader
-	}{{l.CPU, cpu}, {l.Module, module}} {
-		if err := pair.e.ImportEnrollment(pair.r); err != nil {
-			return err
+		f fingerprint.IIP
+	}{{l.CPU, cpuF}, {l.Module, modF}} {
+		// Cannot fail: decodeEnrollment accepted a non-empty grid-sized image.
+		if err := pair.e.store.Enroll(enrollKey, pair.f); err != nil {
+			return fmt.Errorf("core: %s endpoint import: %w", pair.e.Side, err)
 		}
-		enrolled, _ := pair.e.store.Lookup(enrollKey)
 		if pair.e.detector.PeakThreshold == 0 {
 			// Floor probes run on the arena/workspace path like Calibrate's;
 			// note the restore threshold is 3× the raw floor (no tamperScale),
 			// the historical boot-path contract.
-			pair.e.detector.PeakThreshold = 3 * pair.e.noiseFloor(l.Env, enrolled, 4)
+			pair.e.detector.PeakThreshold = 3 * pair.e.noiseFloor(l.Env, pair.f, 4)
 		}
 		pair.e.authenticated = true
 		pair.e.Gate.Set(true)

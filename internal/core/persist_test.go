@@ -67,7 +67,7 @@ func TestCalibrationSurvivesPowerCycle(t *testing.T) {
 
 func TestImportRejectsGarbage(t *testing.T) {
 	l := newLink(t, 22)
-	if err := l.CPU.ImportEnrollment(strings.NewReader("junk")); err == nil {
+	if _, err := l.CPU.decodeEnrollment(strings.NewReader("junk")); err == nil {
 		t.Error("expected import error")
 	}
 	if err := l.RestoreCalibration(strings.NewReader("junk"), strings.NewReader("junk")); err == nil {
@@ -114,6 +114,37 @@ func TestRestoreCalibrationRejectsWrongGrid(t *testing.T) {
 	}
 }
 
+// TestRestoreCalibrationAllOrNothing: a valid CPU image paired with a junk
+// module image is refused without installing the CPU half — no enrollment,
+// no authentication, gate still closed.
+func TestRestoreCalibrationAllOrNothing(t *testing.T) {
+	first := newLink(t, 25)
+	if err := first.Calibrate(); err != nil {
+		t.Fatal(err)
+	}
+	var cpuROM bytes.Buffer
+	if err := first.CPU.ExportEnrollment(&cpuROM); err != nil {
+		t.Fatal(err)
+	}
+	l, err := NewLinkOver("bus0", DefaultConfig(), first.Line, rng.New(25))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.RestoreCalibration(&cpuROM, strings.NewReader("junk")); err == nil {
+		t.Fatal("restore accepted a junk module image")
+	}
+	if l.Calibrated() {
+		t.Error("link calibrated after a rejected image")
+	}
+	if l.CPU.Gate.Authorized() || l.CPU.authenticated {
+		t.Errorf("CPU endpoint opened by a rejected restore: gate %v, authenticated %v",
+			l.CPU.Gate.Authorized(), l.CPU.authenticated)
+	}
+	if _, ok := l.CPU.store.Lookup(enrollKey); ok {
+		t.Error("CPU enrollment stored by a rejected restore")
+	}
+}
+
 func floats(xs []float64) string {
 	parts := make([]string, len(xs))
 	for i, x := range xs {
@@ -150,7 +181,11 @@ func TestEnrollmentIntegrityMatters(t *testing.T) {
 	// With EPROM write access, the attacker overwrites the victim module's
 	// enrollment and moves the module onto their bus: the module now
 	// authenticates the attacker's machine.
-	if err := victim.Module.ImportEnrollment(&forged); err != nil {
+	f, err := victim.Module.decodeEnrollment(&forged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := victim.Module.store.Enroll(enrollKey, f); err != nil {
 		t.Fatal(err)
 	}
 	victim.Module.SetObservedLine(attackerLine)

@@ -156,6 +156,11 @@ func (iv *Inverter) Matches(refs []float64) bool {
 	if len(refs) != len(iv.refs) {
 		return false
 	}
+	// With a warmup both are the fleet-shared immutable bin refs: one
+	// backing array at one length cannot differ from itself.
+	if len(refs) > 0 && &refs[0] == &iv.refs[0] {
+		return true
+	}
 	for i, r := range refs {
 		if r != iv.refs[i] {
 			return false

@@ -145,6 +145,29 @@ func TestInverterMatches(t *testing.T) {
 	if iv.Matches([]float64{-1e-3, 0, 2e-3}) {
 		t.Error("matched a different reference set")
 	}
+
+	// A warmup-backed inverter aliases the shared refs instead of copying
+	// them; Matches must still tell a prefix or an offset view of the same
+	// backing array from the refs themselves.
+	shared := []float64{-1e-3, 0, 1e-3, 2e-3}
+	wb := &warmBin{cdf: iv.cdf}
+	var aliased Inverter
+	apc.resetInverter(&aliased, shared[:3], wb)
+	if &aliased.refs[0] != &shared[0] {
+		t.Fatal("warmup-backed inverter copied its refs")
+	}
+	if !aliased.Matches(shared[:3]) {
+		t.Error("aliased inverter must match its own refs")
+	}
+	if !aliased.Matches(refs) {
+		t.Error("aliased inverter must match an equal copy")
+	}
+	if aliased.Matches(shared[:2]) || aliased.Matches(shared) {
+		t.Error("aliased inverter matched a different-length view of its refs")
+	}
+	if aliased.Matches(shared[1:]) {
+		t.Error("aliased inverter matched an offset view of its refs")
+	}
 }
 
 func TestInverterPromoteKeepsEstimates(t *testing.T) {

@@ -36,15 +36,24 @@ func buildErfTable() *[erfTableMax * erfTableScale][4]float64 {
 }
 
 // erfTab is erf from erfTable inside (−4, 4) and math.Erf elsewhere,
-// including ±Inf and NaN. It is odd, so erfTab(±0) = ±0.
+// including ±0, ±Inf and NaN. It is odd, so erfTab(±0) = ±0. It is the
+// scalar form of the case split edgeKernel.add makes inline per sample.
 func erfTab(x float64) float64 {
-	ax := math.Abs(x)
-	if !(ax < erfTableMax) {
-		return math.Erf(x)
+	switch {
+	case 0 < x && x < erfTableMax:
+		return erfPoly(x)
+	case -erfTableMax < x && x < 0:
+		return -erfPoly(-x)
 	}
-	s := ax * erfTableScale
+	return math.Erf(x)
+}
+
+// erfPoly evaluates erfTable at 0 < x < erfTableMax; the caller guarantees
+// the range.
+func erfPoly(x float64) float64 {
+	s := x * erfTableScale
 	k := int(s)
 	u := s - float64(k)
 	c := &erfTable[k]
-	return math.Copysign(c[0]+u*(c[1]+u*(c[2]+u*c[3])), x)
+	return c[0] + u*(c[1]+u*(c[2]+u*c[3]))
 }

@@ -2,6 +2,7 @@ package txline
 
 import (
 	"math"
+	"sync"
 
 	"divot/internal/signal"
 )
@@ -64,6 +65,7 @@ func (l *Line) ReflectInto(s *ReflectScratch, p Probe, deltaT, stretch float64, 
 	s.z = z
 	segDt := 2 * l.cfg.SegmentLength / l.cfg.Velocity // round trip per segment
 	alpha := l.cfg.LossDBPerMeter * math.Ln10 / 20    // nepers per meter, one way
+	att := boundaryAttenuation(l.cfg.LossDBPerMeter, l.cfg.SegmentLength, len(z))
 
 	type event = reflectEvent
 	events := s.events[:0]
@@ -78,9 +80,7 @@ func (l *Line) ReflectInto(s *ReflectScratch, p Probe, deltaT, stretch float64, 
 		if g == 0 {
 			continue
 		}
-		d := float64(i+1) * l.cfg.SegmentLength
-		att := math.Exp(-2 * alpha * d)
-		events = append(events, event{t: float64(i+1) * segDt, a: g * att})
+		events = append(events, event{t: float64(i+1) * segDt, a: g * att[i]})
 	}
 	// Termination reflection.
 	zLast := z[len(z)-1]
@@ -99,14 +99,11 @@ func (l *Line) ReflectInto(s *ReflectScratch, p Probe, deltaT, stretch float64, 
 
 	s.out = signal.Reuse(s.out, rate, n)
 	out := s.out
-	sigma := p.RiseTime / 2.563
-	// Each reflection is the incident erf edge delayed to the event time.
-	// Evaluate the edge only within ±5σ of its transition and hold 0/full
-	// outside — exact to 3e-7 and ~50x faster than evaluating erf everywhere.
-	// Inside the window the edge comes from erfTable, whose error against
-	// math.Erf is at most 1.7e-13 — six orders of magnitude under the
-	// window's own 3e-7.
-	window := 5 * sigma
+	// Each reflection is the incident erf edge delayed to the event time,
+	// evaluated only within ±5σ of its transition and held at 0/full step
+	// outside — exact to 3e-7, and it keeps the per-event work to the few
+	// dozen samples of the transition instead of all n.
+	edge := newEdgeKernel(p.RiseTime/2.563, rate)
 
 	// Post-window samples see the full step of every earlier event, so the
 	// naive superposition re-adds each event's amplitude over an O(n) tail —
@@ -125,10 +122,7 @@ func (l *Line) ReflectInto(s *ReflectScratch, p Probe, deltaT, stretch float64, 
 	mono := len(events) > 0
 	prev := 0
 	for e, ev := range events {
-		hi := int((ev.t*stretch+window)*rate) + 1
-		if hi > n {
-			hi = n
-		}
+		hi := edge.hiIndex(ev.t*stretch, n)
 		his[e] = hi
 		if hi < prev {
 			mono = false
@@ -155,7 +149,7 @@ func (l *Line) ReflectInto(s *ReflectScratch, p Probe, deltaT, stretch float64, 
 		// for any sample every tail contribution comes from an earlier event
 		// than every window contribution.
 		for _, ev := range events {
-			addEdge(out.Samples, p.Amplitude*ev.a, ev.t*stretch, window, sigma, rate)
+			edge.add(out.Samples, p.Amplitude*ev.a, ev.t*stretch)
 		}
 		return out
 	}
@@ -164,7 +158,7 @@ func (l *Line) ReflectInto(s *ReflectScratch, p Probe, deltaT, stretch float64, 
 	// pathological profile): the original combined superposition.
 	for _, ev := range events {
 		amp := p.Amplitude * ev.a
-		hiIdx := addEdge(out.Samples, amp, ev.t*stretch, window, sigma, rate)
+		hiIdx := edge.add(out.Samples, amp, ev.t*stretch)
 		// Samples after the window see the full step; an arrival before
 		// t = 0 (hiIdx < 0) contributes it everywhere.
 		for i := max(hiIdx, 0); i < n; i++ {
@@ -174,22 +168,84 @@ func (l *Line) ReflectInto(s *ReflectScratch, p Probe, deltaT, stretch float64, 
 	return out
 }
 
-// addEdge adds one arrival's windowed erf transition to out: amplitude amp,
-// centred at tEv seconds, over the samples within ±window of it. It returns
-// the window's end index, clamped above to len(out) but not below, so an
-// arrival before t = 0 returns a negative index.
-func addEdge(out []float64, amp, tEv, window, sigma, rate float64) int {
-	loIdx := int((tEv - window) * rate)
-	hiIdx := int((tEv+window)*rate) + 1
-	if loIdx < 0 {
-		loIdx = 0
-	}
-	if hiIdx > len(out) {
-		hiIdx = len(out)
-	}
-	for i := loIdx; i < hiIdx; i++ {
-		t := float64(i)/rate - tEv
-		out[i] += amp * 0.5 * (1 + erfTab(t/(sigma*math.Sqrt2)))
-	}
-	return hiIdx
+// edgeKernel adds windowed erf transitions of one probe to a waveform on one
+// sample grid. Everything that depends only on the probe and the grid — the
+// sample period and 1/(σ√2) — is computed once per synthesis, so the
+// per-sample work is a multiply-add for the argument, one erfTable
+// polynomial and a multiply-add into the output: no division. The argument
+// and the table (≤ 1.7e-13 from math.Erf) differ from the reference
+// superposition only in the last bits; TestReflectIntoMatchesReference holds
+// the waveform to 1e-12, and the IIP pins decide whether a capture moved.
+type edgeKernel struct {
+	rate   float64 // samples per second
+	dt     float64 // 1/rate
+	inv    float64 // 1/(σ√2): seconds → erf argument
+	window float64 // ±5σ half-width of the evaluated transition
 }
+
+func newEdgeKernel(sigma, rate float64) edgeKernel {
+	return edgeKernel{rate: rate, dt: 1 / rate, inv: 1 / (sigma * math.Sqrt2), window: 5 * sigma}
+}
+
+// hiIndex is the end index of the window of an arrival at tEv seconds,
+// clamped above to n but not below, so an arrival before t = 0 gives a
+// negative index.
+func (k edgeKernel) hiIndex(tEv float64, n int) int {
+	return min(int((tEv+k.window)*k.rate)+1, n)
+}
+
+// add adds one arrival's windowed erf transition to out: amplitude amp,
+// centred at tEv seconds, over the samples within ±window of it. It returns
+// hiIndex(tEv, len(out)).
+func (k edgeKernel) add(out []float64, amp, tEv float64) int {
+	lo := max(int((tEv-k.window)*k.rate), 0)
+	hi := k.hiIndex(tEv, len(out))
+	if lo >= hi {
+		return hi
+	}
+	half := 0.5 * amp
+	w := out[lo:hi]
+	t0 := float64(lo)
+	for j := range w {
+		x := ((t0+float64(j))*k.dt - tEv) * k.inv
+		var e float64
+		switch {
+		case 0 < x && x < erfTableMax:
+			e = erfPoly(x)
+		case -erfTableMax < x && x < 0:
+			e = -erfPoly(-x)
+		default: // ±0, the far tails, and non-finite arguments
+			e = math.Erf(x)
+		}
+		w[j] += half + half*e
+	}
+	return hi
+}
+
+// boundaryAttenuation returns the round-trip loss factor e^(−2αd) of every
+// interior segment boundary (d = (i+1)·segLen) of a line with the given loss
+// and discretization. The factors depend on nothing but these three values,
+// so every line of a geometry shares one table, built once per process.
+func boundaryAttenuation(lossDBPerMeter, segLen float64, segments int) []float64 {
+	key := attenKey{lossDBPerMeter, segLen, segments}
+	if v, ok := attenCache.Load(key); ok {
+		return v.([]float64)
+	}
+	alpha := lossDBPerMeter * math.Ln10 / 20
+	att := make([]float64, max(segments-1, 0))
+	for i := range att {
+		d := float64(i+1) * segLen
+		att[i] = math.Exp(-2 * alpha * d)
+	}
+	v, _ := attenCache.LoadOrStore(key, att)
+	return v.([]float64)
+}
+
+type attenKey struct {
+	lossDBPerMeter, segLen float64
+	segments               int
+}
+
+// attenCache holds boundaryAttenuation's tables. It grows by one entry per
+// distinct line geometry the process builds.
+var attenCache sync.Map // attenKey → []float64

@@ -2,6 +2,7 @@ package txline
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"divot/internal/rng"
@@ -71,8 +72,12 @@ const reflectTolerance = 1e-12
 
 // TestReflectIntoMatchesReference proves ReflectInto — prefix-sum tail and
 // tabulated erf edge — stays within reflectTolerance of the original
-// math.Erf superposition across temperatures, strains, probe shapes, and
-// perturbed profiles.
+// math.Erf superposition across temperatures, strains, probe shapes,
+// perturbed profiles and sample grids: the ETS-equivalent 89.6 GHz, the
+// ADC-TDR's 40 GHz and the VNA's 200 GHz (internal/baseline), and a coarse
+// 10 GHz grid whose window edges reach past erfTableMax, so the kernel's
+// math.Erf fallback is held to the same bound. Negative strains reverse the
+// arrival order and send ReflectInto down its non-monotone fallback.
 func TestReflectIntoMatchesReference(t *testing.T) {
 	l := New("prefix-test", DefaultConfig(), rng.New(7).Child("line"))
 	l.ApplyPerturbation("probe-a", Perturbation{Position: 0.08, Extent: 0.02, DeltaZ: 4.2})
@@ -85,22 +90,64 @@ func TestReflectIntoMatchesReference(t *testing.T) {
 	}
 	conds := []struct{ deltaT, stretch float64 }{
 		{0, 1}, {12.5, 1}, {-8, 1.0003}, {35, 0.9991}, {3.3, 1.2},
+		{0, -0.01}, {-8, -0.03},
 	}
+	rates := []float64{89.6e9, 40e9, 200e9, 10e9}
 	var scratch ReflectScratch
-	for pi, p := range probes {
-		for ci, c := range conds {
-			want := reflectReference(l, p, c.deltaT, c.stretch, 89.6e9, 343)
-			got := l.ReflectInto(&scratch, p, c.deltaT, c.stretch, 89.6e9, 343)
-			if got.Len() != want.Len() {
-				t.Fatalf("probe %d cond %d: length %d != %d", pi, ci, got.Len(), want.Len())
-			}
-			for i := range want.Samples {
-				if d := math.Abs(got.Samples[i] - want.Samples[i]); !(d <= reflectTolerance) {
-					t.Fatalf("probe %d cond %d: sample %d differs by %g: got %v want %v",
-						pi, ci, i, d, got.Samples[i], want.Samples[i])
+	worst := 0.0
+	for _, rate := range rates {
+		// Long enough for the second-order echo at twice the round trip.
+		n := int(2.2 * l.RoundTripTime() * rate)
+		for pi, p := range probes {
+			for ci, c := range conds {
+				want := reflectReference(l, p, c.deltaT, c.stretch, rate, n)
+				got := l.ReflectInto(&scratch, p, c.deltaT, c.stretch, rate, n)
+				if got.Len() != want.Len() {
+					t.Fatalf("%g Hz probe %d cond %d: length %d != %d", rate, pi, ci, got.Len(), want.Len())
+				}
+				for i := range want.Samples {
+					d := math.Abs(got.Samples[i] - want.Samples[i])
+					if !(d <= reflectTolerance) {
+						t.Fatalf("%g Hz probe %d cond %d: sample %d differs by %g: got %v want %v",
+							rate, pi, ci, i, d, got.Samples[i], want.Samples[i])
+					}
+					worst = max(worst, d)
 				}
 			}
 		}
+	}
+	t.Logf("max |ReflectInto − reference| = %.3g", worst)
+
+	// The coarse grid must really reach the fallback: the first sample of
+	// some default-probe window lies at or beyond −erfTableMax.
+	k := newEdgeKernel(DefaultProbe().RiseTime/2.563, 10e9)
+	var scratch10 ReflectScratch
+	l.ReflectInto(&scratch10, DefaultProbe(), 0, 1, 10e9, int(2.2*l.RoundTripTime()*10e9))
+	reached := false
+	for _, ev := range scratch10.events {
+		lo := max(int((ev.t-k.window)*k.rate), 0)
+		if (float64(lo)*k.dt-ev.t)*k.inv <= -erfTableMax {
+			reached = true
+			break
+		}
+	}
+	if !reached {
+		t.Error("no 10 GHz window reaches |x| ≥ erfTableMax; the math.Erf fallback is untested")
+	}
+}
+
+// TestReflectIntoAllocatesNothingWarm: on a warm scratch, ReflectInto
+// allocates nothing — the shared attenuation table and the edge kernel add
+// no per-call allocation.
+func TestReflectIntoAllocatesNothingWarm(t *testing.T) {
+	l := New("allocs", DefaultConfig(), rng.New(8).Child("line"))
+	p := DefaultProbe()
+	var s ReflectScratch
+	l.ReflectInto(&s, p, 0, 1, 89.6e9, 343)
+	if allocs := testing.AllocsPerRun(20, func() {
+		l.ReflectInto(&s, p, 2.5, 1.0004, 89.6e9, 343)
+	}); allocs != 0 {
+		t.Errorf("ReflectInto on a warm scratch: %v allocs/op, want 0", allocs)
 	}
 }
 
@@ -132,4 +179,40 @@ func TestReflectIntoNegativeStretch(t *testing.T) {
 	}
 	// The allocating entry point takes the same path.
 	l.Reflect(p, 0, -0.5, rate, n)
+}
+
+// TestReflectIntoConcurrentGeometries: goroutines that synthesize lines of
+// not-yet-seen geometries at once build and share the attenuation tables
+// without a race, and each gets the waveform a later sequential call gives.
+func TestReflectIntoConcurrentGeometries(t *testing.T) {
+	const workers = 4
+	var lines []*Line
+	for i := range 3 {
+		cfg := DefaultConfig()
+		cfg.LossDBPerMeter = 1.1 + 0.1*float64(i)
+		lines = append(lines, New("concurrent", cfg, rng.New(uint64(40+i))))
+	}
+	got := make([][]*signal.Waveform, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := range lines {
+				l := lines[(w+j)%len(lines)]
+				got[w] = append(got[w], l.Reflect(DefaultProbe(), 0, 1, 89.6e9, 343))
+			}
+		}()
+	}
+	wg.Wait()
+	for w := range workers {
+		for j, g := range got[w] {
+			want := lines[(w+j)%len(lines)].Reflect(DefaultProbe(), 0, 1, 89.6e9, 343)
+			for i := range want.Samples {
+				if g.Samples[i] != want.Samples[i] {
+					t.Fatalf("worker %d line %d sample %d: %v, sequential %v", w, j, i, g.Samples[i], want.Samples[i])
+				}
+			}
+		}
+	}
 }
