@@ -112,14 +112,17 @@ func BenchmarkCalibrate(b *testing.B) {
 	}
 }
 
-// BenchmarkReflectionSynthesis times the physics layer alone.
+// BenchmarkReflectionSynthesis times the physics layer alone, on the path
+// every capture runs: ReflectInto on a warm scratch.
 func BenchmarkReflectionSynthesis(b *testing.B) {
 	line := txline.New("L", txline.DefaultConfig(), rng.New(2))
 	probe := txline.DefaultProbe()
+	var scratch txline.ReflectScratch
+	line.ReflectInto(&scratch, probe, 0, 1, 89.6e9, 343)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w := line.Reflect(probe, 0, 1, 89.6e9, 343)
+		w := line.ReflectInto(&scratch, probe, 0, 1, 89.6e9, 343)
 		if w.Len() == 0 {
 			b.Fatal("empty waveform")
 		}

@@ -24,7 +24,6 @@ package client
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -249,23 +248,17 @@ func (c *Client) Alerts(ctx context.Context, id string) ([]Event, error) {
 // client's policy.
 func (c *Client) Attest(ctx context.Context, ids ...string) (AttestResponse, error) {
 	var out AttestResponse
-	body, err := attestBody(ids)
-	if err != nil {
-		return out, err
-	}
-	err = c.call(ctx, http.MethodPost, "/v1/attest", body, true, &out)
+	err := c.call(ctx, http.MethodPost, "/v1/attest", attestBody(ids), true, &out)
 	return out, err
 }
 
-func attestBody(ids []string) ([]byte, error) {
+// attestBody is the POST /v1/attest body naming ids; none names the whole
+// fleet with an empty body.
+func attestBody(ids []string) []byte {
 	if len(ids) == 0 {
-		return nil, nil
+		return nil
 	}
-	raw, err := json.Marshal(attest.AttestRequest{Links: ids})
-	if err != nil {
-		return nil, fmt.Errorf("client: encoding attest request: %w", err)
-	}
-	return raw, nil
+	return attest.AppendAttestRequest(nil, ids)
 }
 
 // AttestFederated is Attest against a divotherd aggregator: the same
@@ -277,11 +270,7 @@ func attestBody(ids []string) ([]byte, error) {
 // the server kind is unknown.
 func (c *Client) AttestFederated(ctx context.Context, ids ...string) (FederatedAttestResponse, error) {
 	var out FederatedAttestResponse
-	body, err := attestBody(ids)
-	if err != nil {
-		return out, err
-	}
-	err = c.call(ctx, http.MethodPost, "/v1/attest", body, true, &out)
+	err := c.call(ctx, http.MethodPost, "/v1/attest", attestBody(ids), true, &out)
 	return out, err
 }
 
@@ -378,16 +367,69 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 		return fmt.Errorf("client: %s %s: %w", method, path, err)
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	bp := bodyBufs.Get().(*[]byte)
+	defer func() {
+		if cap(*bp) <= maxPooledBody {
+			bodyBufs.Put(bp)
+		}
+	}()
+	raw, err := readBody((*bp)[:0], resp)
+	*bp = raw
 	if err != nil {
 		return fmt.Errorf("client: reading %s %s response: %w", method, path, err)
 	}
+	// Decoding copies every value out of raw, so the buffer can be reused.
 	derr := decodeResponse(resp.StatusCode, raw, out)
 	var aerr *APIError
 	if errors.As(derr, &aerr) {
 		aerr.RetryAfter = parseRetryAfter(resp.Header.Get("Retry-After"))
 	}
 	return derr
+}
+
+// maxResponseBody bounds the response bodies a Client reads.
+const maxResponseBody = 16 << 20
+
+// errResponseTooLarge reports an answer past maxResponseBody.
+var errResponseTooLarge = fmt.Errorf("response exceeds the %d-byte cap", maxResponseBody)
+
+// maxPooledBody bounds the read buffers kept for reuse; a rarer, larger
+// answer (a whole big fleet) is left to the garbage collector.
+const maxPooledBody = 1 << 20
+
+var bodyBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 16<<10)
+	return &b
+}}
+
+// readBody appends resp's body to dst, sized up front from Content-Length
+// when the server sent one. A body past maxResponseBody is
+// errResponseTooLarge, never a truncated read.
+func readBody(dst []byte, resp *http.Response) ([]byte, error) {
+	if resp.ContentLength > maxResponseBody {
+		return dst, errResponseTooLarge
+	}
+	if n := int(resp.ContentLength) + 1; n > cap(dst) {
+		// One spare byte lets the read that sees EOF land without growing.
+		dst = make([]byte, 0, n)
+	}
+	body := io.LimitReader(resp.Body, maxResponseBody+1)
+	for {
+		if len(dst) == cap(dst) {
+			dst = append(dst, 0)[:len(dst)]
+		}
+		n, err := body.Read(dst[len(dst):cap(dst)])
+		dst = dst[:len(dst)+n]
+		if len(dst) > maxResponseBody {
+			return dst, errResponseTooLarge
+		}
+		if err == io.EOF {
+			return dst, nil
+		}
+		if err != nil {
+			return dst, err
+		}
+	}
 }
 
 // parseRetryAfter reads an integer-seconds Retry-After value; the HTTP-date

@@ -1,13 +1,18 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -461,5 +466,54 @@ func TestReadyAndHistory(t *testing.T) {
 	var aerr *APIError
 	if !errors.As(err, &aerr) || aerr.Code != CodeUnknownLink {
 		t.Errorf("unknown bus history err = %v, want %s", err, CodeUnknownLink)
+	}
+}
+
+// TestResponseOverCapIsNamed: an answer past the read cap is an error naming
+// the cap, whether the server announced its length or streamed it chunked,
+// and is never retried.
+func TestResponseOverCapIsNamed(t *testing.T) {
+	for _, sized := range []bool{true, false} {
+		var calls atomic.Int32
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			calls.Add(1)
+			if sized {
+				w.Header().Set("Content-Length", strconv.Itoa(maxResponseBody+1))
+			}
+			w.Write(bytes.Repeat([]byte(" "), maxResponseBody+1)) //nolint:errcheck // client may hang up
+		}))
+		c, _ := newTestClient(t, srv.URL, testPolicy())
+		_, err := c.Attest(context.Background())
+		srv.Close()
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("exceeds the %d-byte cap", maxResponseBody)) {
+			t.Errorf("sized=%v: error %v, want one naming the %d-byte cap", sized, err, maxResponseBody)
+		}
+		if n := calls.Load(); n != 1 {
+			t.Errorf("sized=%v: %d attempts, want 1", sized, n)
+		}
+	}
+}
+
+// TestDecodedValuesOutliveTheReadBuffer: the read buffer is reused across
+// calls, so a decoded answer must not alias it.
+func TestDecodedValuesOutliveTheReadBuffer(t *testing.T) {
+	var n atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		id := fmt.Sprintf("bus-%d", n.Add(1))
+		attest.WriteData(w, http.StatusOK, AttestResponse{Results: []AuthReport{{ID: id, Health: "h-" + id}}})
+	}))
+	t.Cleanup(srv.Close)
+	c, _ := newTestClient(t, srv.URL, testPolicy())
+	first, err := c.Attest(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := c.Attest(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if r := first.Results[0]; r.ID != "bus-1" || r.Health != "h-bus-1" {
+		t.Errorf("first answer changed under later calls: %+v", r)
 	}
 }

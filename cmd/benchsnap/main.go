@@ -78,12 +78,14 @@ func (b allocBudgets) String() string {
 	return strings.Join(parts, ",")
 }
 
-// Set implements flag.Value, parsing one name=N pair.
+// Set implements flag.Value, parsing one name=N pair. The name may itself
+// hold '=' (sub-benchmark names like daemons=4), so N follows the last one.
 func (b allocBudgets) Set(s string) error {
-	name, val, ok := strings.Cut(s, "=")
-	if !ok || name == "" {
+	i := strings.LastIndexByte(s, '=')
+	if i <= 0 {
 		return fmt.Errorf("want name=N, got %q", s)
 	}
+	name, val := s[:i], s[i+1:]
 	n, err := strconv.ParseInt(val, 10, 64)
 	if err != nil || n < 0 {
 		return fmt.Errorf("budget for %q must be a non-negative integer, got %q", name, val)

@@ -131,6 +131,10 @@ func TestAllocBudgets(t *testing.T) {
 	if err := b.Set("Attest/warm=0"); err != nil {
 		t.Fatal(err)
 	}
+	if err := b.Set("Fed/daemons=4/buses=1000=7"); err != nil || b["Fed/daemons=4/buses=1000"] != 7 {
+		t.Fatalf("a name holding '=' parsed to %v (err %v)", b, err)
+	}
+	delete(b, "Fed/daemons=4/buses=1000")
 	for _, bad := range []string{"", "NoEquals", "=3", "X=-1", "X=abc"} {
 		if err := b.Set(bad); err == nil {
 			t.Errorf("Set(%q) accepted", bad)

@@ -90,8 +90,8 @@ func BenchmarkFederatedAttest(b *testing.B) {
 				}
 				if nd == 1 && nb == 100_000 {
 					// A single 100k-bus shard answers ~25 MB of enveloped JSON
-					// per attest — past the SDK's 16 MB frame cap, so the herd
-					// rejects the oversized shard response. Sharding the pack
+					// per attest — past the SDK's 16 MiB read cap, so the herd
+					// fails the shard with an error naming the cap. Sharding the pack
 					// is the supported way to reach 100k buses (the nd=4 and
 					// nd=16 rows); this cell documents the limit instead of
 					// timing it.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"divot/client"
@@ -50,6 +51,32 @@ type shard struct {
 	fleetOK bool
 	// lastErr is the most recent probe or fan-out failure ("" while up).
 	lastErr string
+
+	// The shard's metric series, resolved once in NewHerd. The probe,
+	// liveness and assignment series are written by the first probe anyway;
+	// the other fan-out series resolve on their first observation, so
+	// /metrics lists only the series a daemon has used.
+	upGauge, busesGauge              *telemetry.Gauge
+	probeDur                         *telemetry.Histogram
+	attestDur, historyDur, streamDur *series[telemetry.Histogram]
+}
+
+// series resolves one labelled metric series on first use and keeps the
+// handle, so a hot path builds no label key per observation.
+type series[T any] struct {
+	resolve func() *T
+	p       atomic.Pointer[T]
+}
+
+func newSeries[T any](resolve func() *T) *series[T] { return &series[T]{resolve: resolve} }
+
+func (s *series[T]) get() *T {
+	if p := s.p.Load(); p != nil {
+		return p
+	}
+	p := s.resolve()
+	s.p.Store(p)
+	return p
 }
 
 // Herd supervises a pack of divotd instances: it discovers each daemon's
@@ -71,21 +98,28 @@ type Herd struct {
 	ring *ring.Ring
 	reg  *telemetry.Registry
 
-	mu     sync.RWMutex
+	// shards and names (sorted) are fixed by NewHerd; a shard's mutable
+	// fields are guarded by mu.
 	shards map[string]*shard
+	names  []string
+
+	mu sync.RWMutex
 	// buses is the sorted union of every shard's discovered fleet — the
 	// herd's fleet order for whole-fleet attests.
 	buses []string
 	// owners maps a bus to the sorted names of the shards serving it.
 	owners map[string][]string
+	// assigned maps each bus to the daemon serving it, and counts holds
+	// each daemon's share. assignLocked rebuilds both whenever liveness or
+	// a fleet changes, so a request reads the table instead of walking the
+	// ring for every bus.
+	assigned map[string]string
+	counts   map[string]int
 
 	started time.Time
 
-	shardBuses *telemetry.GaugeVec
-	daemonUp   *telemetry.GaugeVec
-	fanoutDur  *telemetry.HistogramVec
-	attests    *telemetry.CounterVec
-	rebalances *telemetry.Counter
+	complete, partial *series[telemetry.Counter]
+	rebalances        *telemetry.Counter
 }
 
 // NewHerd builds the aggregator and runs the initial discovery: every
@@ -95,6 +129,21 @@ type Herd struct {
 // federation id contradicts the herd's is a configuration error and refuses
 // startup.
 func NewHerd(ctx context.Context, cfg herdConfig) (*Herd, error) {
+	h, err := newHerd(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := h.probeOnce(ctx); err != nil {
+		return nil, err
+	}
+	if !h.anyUp() {
+		return nil, fmt.Errorf("none of the %d daemons is reachable", len(cfg.Daemons))
+	}
+	return h, nil
+}
+
+// newHerd builds the aggregator with every daemon down and undiscovered.
+func newHerd(cfg herdConfig) (*Herd, error) {
 	if len(cfg.Daemons) == 0 {
 		return nil, fmt.Errorf("no daemons given (use -daemons url[,url...])")
 	}
@@ -110,24 +159,24 @@ func NewHerd(ctx context.Context, cfg herdConfig) (*Herd, error) {
 		owners:  make(map[string][]string),
 		started: time.Now(),
 	}
-	h.shardBuses = h.reg.Gauge("divotherd_shard_buses",
+	shardBuses := h.reg.Gauge("divotherd_shard_buses",
 		"Buses currently assigned to a daemon by the consistent-hash ring.", "daemon")
-	h.daemonUp = h.reg.Gauge("divotherd_daemon_up",
+	daemonUp := h.reg.Gauge("divotherd_daemon_up",
 		"1 while the daemon answers health probes, 0 while it is considered dead.", "daemon")
-	h.fanoutDur = h.reg.Histogram("divotherd_fanout_seconds",
+	fanoutDur := h.reg.Histogram("divotherd_fanout_seconds",
 		"Wall-clock duration of one fanned-out upstream call.",
 		telemetry.DurationBuckets, "daemon", "op")
-	h.attests = h.reg.Counter("divotherd_attest_total",
+	attests := h.reg.Counter("divotherd_attest_total",
 		"Federated attestation requests by outcome (complete/partial).", "outcome")
+	h.complete = newSeries(func() *telemetry.Counter { return attests.With("complete") })
+	h.partial = newSeries(func() *telemetry.Counter { return attests.With("partial") })
 	h.rebalances = h.reg.Counter("divotherd_rebalance_total",
 		"Assignment re-balances (a daemon died, rejoined, or changed its fleet).").With()
 
-	seen := make(map[string]bool, len(cfg.Daemons))
 	for _, d := range cfg.Daemons {
-		if seen[d.Name] {
+		if h.shards[d.Name] != nil {
 			return nil, fmt.Errorf("duplicate daemon name %q", d.Name)
 		}
-		seen[d.Name] = true
 		opts := []client.Option{client.WithUserAgent("divotherd/1")}
 		if cfg.Timeout > 0 {
 			opts = append(opts, client.WithTimeout(cfg.Timeout))
@@ -139,25 +188,24 @@ func NewHerd(ctx context.Context, cfg herdConfig) (*Herd, error) {
 		if err != nil {
 			return nil, fmt.Errorf("daemon %s: %w", d.Name, err)
 		}
-		h.shards[d.Name] = &shard{name: d.Name, addr: d.Addr, c: c, buses: map[string]bool{}}
-		h.multi.Set(d.Name, c)
-		h.ring.Add(d.Name)
-	}
-
-	if err := h.probeOnce(ctx); err != nil {
-		return nil, err
-	}
-	h.mu.RLock()
-	up := 0
-	for _, s := range h.shards {
-		if s.up {
-			up++
+		name := d.Name
+		fanout := func(op string) *series[telemetry.Histogram] {
+			return newSeries(func() *telemetry.Histogram { return fanoutDur.With(name, op) })
 		}
+		h.shards[name] = &shard{
+			name: name, addr: d.Addr, c: c, buses: map[string]bool{},
+			upGauge:    daemonUp.With(name),
+			busesGauge: shardBuses.With(name),
+			probeDur:   fanoutDur.With(name, "probe"),
+			attestDur:  fanout("attest"),
+			historyDur: fanout("history"),
+			streamDur:  fanout("stream"),
+		}
+		h.names = append(h.names, name)
+		h.multi.Set(name, c)
+		h.ring.Add(name)
 	}
-	h.mu.RUnlock()
-	if up == 0 {
-		return nil, fmt.Errorf("none of the %d daemons is reachable", len(cfg.Daemons))
-	}
+	sort.Strings(h.names)
 	return h, nil
 }
 
@@ -202,7 +250,7 @@ func (h *Herd) probeOnce(ctx context.Context) error {
 				h.setFleetOK(name, o.View.FleetOK)
 			}
 		}
-		h.fanoutDur.With(name, "probe").Observe(time.Since(timer).Seconds())
+		h.shards[name].probeDur.Observe(time.Since(timer).Seconds())
 	}
 	if changed {
 		h.rebalanced()
@@ -249,11 +297,15 @@ func (h *Herd) setDown(name, why string) bool {
 	s.up = false
 	s.fleetOK = false
 	s.lastErr = why
-	h.daemonUp.With(name).Set(0)
+	s.upGauge.Set(0)
+	if trans {
+		h.assignLocked()
+	}
 	return trans
 }
 
-// setUp installs a revived daemon's bus set and recomputes the owner index.
+// setUp installs a revived daemon's bus set and recomputes the owner index
+// and the assignment table.
 func (h *Herd) setUp(name string, links []client.LinkSummary, fleetOK bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -268,8 +320,9 @@ func (h *Herd) setUp(name string, links []client.LinkSummary, fleetOK bool) {
 	for _, l := range links {
 		s.buses[l.ID] = true
 	}
-	h.daemonUp.With(name).Set(1)
+	s.upGauge.Set(1)
 	h.reindexLocked()
+	h.assignLocked()
 }
 
 func (h *Herd) setFleetOK(name string, ok bool) {
@@ -296,57 +349,65 @@ func (h *Herd) reindexLocked() {
 	sort.Strings(h.buses)
 }
 
-// rebalanced recounts per-shard assignments after a liveness or fleet
-// change and updates the divotherd_shard_buses gauges.
+// rebalanced counts a re-balance after a liveness or fleet change and
+// updates the divotherd_shard_buses gauges.
 func (h *Herd) rebalanced() {
 	h.rebalances.Inc()
 	h.mu.RLock()
-	counts := make(map[string]int, len(h.shards))
+	defer h.mu.RUnlock()
+	for _, s := range h.shards {
+		s.busesGauge.Set(float64(h.counts[s.name]))
+	}
+}
+
+// assignLocked rebuilds the assignment table: each bus goes to the first
+// live owner clockwise of its ring position. Caller holds h.mu for writing.
+func (h *Herd) assignLocked() {
+	h.assigned = make(map[string]string, len(h.buses))
+	h.counts = make(map[string]int, len(h.shards))
 	for _, b := range h.buses {
-		if name, ok := h.assignLocked(b); ok {
-			counts[name]++
+		name, ok := h.ring.Pick(b, func(name string) bool {
+			s := h.shards[name]
+			return s.up && s.buses[b]
+		})
+		if ok {
+			h.assigned[b] = name
+			h.counts[name]++
 		}
 	}
-	names := make([]string, 0, len(h.shards))
-	for name := range h.shards {
-		names = append(names, name)
-	}
-	h.mu.RUnlock()
-	for _, name := range names {
-		h.shardBuses.With(name).Set(float64(counts[name]))
-	}
 }
 
-// assignLocked picks the daemon responsible for a bus: the first live owner
-// clockwise of the bus's ring position. Caller holds h.mu (read suffices).
-func (h *Herd) assignLocked(bus string) (string, bool) {
-	return h.ring.Pick(bus, func(name string) bool {
-		s := h.shards[name]
-		return s != nil && s.up && s.buses[bus]
-	})
-}
-
-// Assign resolves a bus's current daemon (for tests and the HTTP layer).
+// Assign resolves a bus's current daemon.
 func (h *Herd) Assign(bus string) (string, bool) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	return h.assignLocked(bus)
+	name, ok := h.assigned[bus]
+	return name, ok
 }
 
-// planFor groups targets by assigned daemon, preserving request order inside
-// each group, and returns the buses no live daemon serves.
-func (h *Herd) planFor(targets []string) (plan map[string][]string, unassigned []string) {
+// plan is one fan-out: each daemon's targets in request order, the index of
+// each of those targets in the request, and the targets no live daemon
+// serves.
+type plan struct {
+	ids        map[string][]string
+	pos        map[string][]int
+	unassigned []string
+}
+
+// planFor groups targets by assigned daemon.
+func (h *Herd) planFor(targets []string) plan {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	plan = make(map[string][]string)
-	for _, b := range targets {
-		if name, ok := h.assignLocked(b); ok {
-			plan[name] = append(plan[name], b)
+	p := plan{ids: make(map[string][]string), pos: make(map[string][]int)}
+	for i, b := range targets {
+		if name, ok := h.assigned[b]; ok {
+			p.ids[name] = append(p.ids[name], b)
+			p.pos[name] = append(p.pos[name], i)
 		} else {
-			unassigned = append(unassigned, b)
+			p.unassigned = append(p.unassigned, b)
 		}
 	}
-	return plan, unassigned
+	return p
 }
 
 // Attest runs a federated batch attestation: targets are resolved against
@@ -377,27 +438,36 @@ func (h *Herd) Attest(ctx context.Context, ids []string) (attest.FederatedAttest
 		targets = ids
 	}
 
-	plan, unassigned := h.planFor(targets)
+	p := h.planFor(targets)
 	start := time.Now()
-	outcomes := h.multi.Attest(ctx, plan)
-	for name := range plan {
-		h.fanoutDur.With(name, "attest").Observe(time.Since(start).Seconds())
+	outcomes := h.multi.Attest(ctx, p.ids)
+	elapsed := time.Since(start).Seconds()
+	for name := range p.ids {
+		h.shards[name].attestDur.get().Observe(elapsed)
 	}
 
-	byBus := make(map[string]attest.AuthReport, len(targets))
+	// A daemon answers in request order, so each verdict goes straight to
+	// its target's position; placed marks the positions a shard filled.
+	results := make([]attest.AuthReport, len(targets))
+	placed := make([]bool, len(targets))
 	failed := make(map[string]error)
 	rebalance := false
 	for name, o := range outcomes {
-		if o.Err != nil {
-			failed[name] = o.Err
-			if h.setDown(name, o.Err.Error()) {
+		err := o.Err
+		if err == nil {
+			err = matchPlan(o.Resp.Results, p.ids[name])
+		}
+		if err != nil {
+			failed[name] = err
+			if h.setDown(name, err.Error()) {
 				rebalance = true
 			}
 			continue
 		}
-		for _, rep := range o.Resp.Results {
+		for k, rep := range o.Resp.Results {
 			rep.Daemon = name
-			byBus[rep.ID] = rep
+			results[p.pos[name][k]] = rep
+			placed[p.pos[name][k]] = true
 		}
 	}
 	if rebalance {
@@ -405,48 +475,60 @@ func (h *Herd) Attest(ctx context.Context, ids []string) (attest.FederatedAttest
 	}
 
 	resp := attest.FederatedAttestResponse{
-		Results:     make([]attest.AuthReport, 0, len(targets)),
+		Results:     results[:0],
 		AllAccepted: true,
 		Shards:      h.shardStatuses(),
 	}
-	for _, b := range targets {
-		rep, ok := byBus[b]
-		if !ok {
+	for i := range results {
+		if !placed[i] {
 			continue // covered by the error envelope below
 		}
-		if !rep.Accepted {
+		if !results[i].Accepted {
 			resp.AllAccepted = false
 		}
-		resp.Results = append(resp.Results, rep)
+		resp.Results = append(resp.Results, results[i])
 	}
-	names := make([]string, 0, len(failed))
-	for name := range failed {
-		names = append(names, name)
+	for _, name := range h.names {
+		if err := failed[name]; err != nil {
+			resp.Errors = append(resp.Errors, attest.ShardError{
+				Daemon:  name,
+				Code:    errCode(err),
+				Message: err.Error(),
+				Links:   p.ids[name],
+			})
+		}
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		resp.Errors = append(resp.Errors, attest.ShardError{
-			Daemon:  name,
-			Code:    errCode(failed[name]),
-			Message: failed[name].Error(),
-			Links:   plan[name],
-		})
-	}
-	if len(unassigned) > 0 {
+	if len(p.unassigned) > 0 {
 		resp.Errors = append(resp.Errors, attest.ShardError{
 			Code:    attest.CodeUnavailable,
 			Message: "no live daemon serves these buses",
-			Links:   unassigned,
+			Links:   p.unassigned,
 		})
 	}
 	resp.Complete = len(resp.Results) == len(targets)
 	if !resp.Complete {
 		resp.AllAccepted = false
-		h.attests.With("partial").Inc()
+		h.partial.get().Inc()
 	} else {
-		h.attests.With("complete").Inc()
+		h.complete.get().Inc()
 	}
 	return resp, nil
+}
+
+// matchPlan checks that a shard answered exactly its planned targets, in
+// request order, as a daemon always does. Any other answer is a shard fault:
+// none of its verdicts can be placed without guessing.
+func matchPlan(got []attest.AuthReport, want []string) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("answered %d verdicts for %d planned buses", len(got), len(want))
+	}
+	for k := range got {
+		if got[k].ID != want[k] {
+			return fmt.Errorf("answered bus %q where the plan has %q at position %d",
+				got[k].ID, want[k], k)
+		}
+	}
+	return nil
 }
 
 // History proxies one bus's durable score history from its assigned daemon.
@@ -457,6 +539,7 @@ func (h *Herd) Attest(ctx context.Context, ids []string) (attest.FederatedAttest
 func (h *Herd) History(ctx context.Context, id string) (attest.HistoryResponse, *attest.Error) {
 	h.mu.RLock()
 	_, known := h.owners[id]
+	name, ok := h.assigned[id]
 	h.mu.RUnlock()
 	if !known {
 		return attest.HistoryResponse{}, &attest.Error{
@@ -464,19 +547,16 @@ func (h *Herd) History(ctx context.Context, id string) (attest.HistoryResponse, 
 			Message: fmt.Sprintf("unknown bus %q", id),
 		}
 	}
-	name, ok := h.Assign(id)
 	if !ok {
 		return attest.HistoryResponse{}, &attest.Error{
 			Code:    attest.CodeUnavailable,
 			Message: fmt.Sprintf("no live daemon serves bus %q", id),
 		}
 	}
-	h.mu.RLock()
-	c := h.shards[name].c
-	h.mu.RUnlock()
+	s := h.shards[name]
 	start := time.Now()
-	samples, err := c.History(ctx, id)
-	h.fanoutDur.With(name, "history").Observe(time.Since(start).Seconds())
+	samples, err := s.c.History(ctx, id)
+	s.historyDur.get().Observe(time.Since(start).Seconds())
 	if err != nil {
 		// A structured 4xx is the daemon answering fine (e.g. it dropped the
 		// bus from its spec); only transport faults and 5xx mark it down.
@@ -513,19 +593,13 @@ func errCode(err error) string {
 func (h *Herd) shardStatuses() []attest.ShardStatus {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	counts := make(map[string]int, len(h.shards))
-	for _, b := range h.buses {
-		if name, ok := h.assignLocked(b); ok {
-			counts[name]++
-		}
-	}
-	out := make([]attest.ShardStatus, 0, len(h.shards))
-	for _, s := range h.shards {
+	out := make([]attest.ShardStatus, 0, len(h.names))
+	for _, name := range h.names {
+		s := h.shards[name]
 		out = append(out, attest.ShardStatus{
-			Daemon: s.name, Addr: s.addr, Up: s.up, Buses: counts[s.name],
+			Daemon: s.name, Addr: s.addr, Up: s.up, Buses: h.counts[name],
 		})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Daemon < out[j].Daemon })
 	return out
 }
 
@@ -546,13 +620,8 @@ func (h *Herd) HerdHealth(ctx context.Context) attest.HerdHealthResponse {
 		Links:        []attest.LinkHealthView{},
 		Complete:     true,
 	}
-	names := make([]string, 0, len(h.shards))
-	for name := range h.shards {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	views := make(map[string]attest.LinkHealthView)
-	for _, name := range names {
+	for _, name := range h.names {
 		s := h.shards[name]
 		dh := attest.DaemonHealth{
 			Daemon: name, Addr: s.addr, Up: s.up,
@@ -567,7 +636,7 @@ func (h *Herd) HerdHealth(ctx context.Context) attest.HerdHealthResponse {
 			dh.Error = fo.Err.Error()
 		default:
 			for _, lv := range fo.Links {
-				if owner, ok := h.assignLocked(lv.ID); ok && owner == name {
+				if h.assigned[lv.ID] == name {
 					views[lv.ID] = lv
 				}
 			}

@@ -75,20 +75,20 @@ func (h *Herd) handleStream(w http.ResponseWriter, r *http.Request) {
 		h.mu.RUnlock()
 		sort.Strings(targets)
 	}
-	plan, unassigned := h.planFor(targets)
-	if len(sub.Links) > 0 && len(unassigned) > 0 {
+	p := h.planFor(targets)
+	if len(sub.Links) > 0 && len(p.unassigned) > 0 {
 		attest.WriteError(w, attest.CodeUnavailable,
-			"no live daemon serves %v", unassigned)
+			"no live daemon serves %v", p.unassigned)
 		return
 	}
 	if len(sub.Links) == 0 {
 		targets = targets[:0]
-		for _, group := range plan {
+		for _, group := range p.ids {
 			targets = append(targets, group...)
 		}
 		sort.Strings(targets)
 	}
-	if len(plan) == 0 {
+	if len(p.ids) == 0 {
 		attest.WriteError(w, attest.CodeUnavailable, "no live daemon serves any bus")
 		return
 	}
@@ -102,28 +102,27 @@ func (h *Herd) handleStream(w http.ResponseWriter, r *http.Request) {
 	// refusing the subscribe (unknown kind, gone bus) still surfaces as a
 	// proper error envelope.
 	ctx := r.Context()
-	names := make([]string, 0, len(plan))
-	for name := range plan {
-		names = append(names, name)
+	names := make([]string, 0, len(p.ids))
+	for _, name := range h.names {
+		if p.ids[name] != nil {
+			names = append(names, name)
+		}
 	}
-	sort.Strings(names)
 	watches := make([]*client.MultiWatch, 0, len(names))
 	for _, name := range names {
-		group := plan[name]
+		group := p.ids[name]
 		after := make(map[string]uint64)
 		for _, id := range group {
 			if cur, ok := sub.After[id]; ok {
 				after[id] = cur
 			}
 		}
-		h.mu.RLock()
-		c := h.shards[name].c
-		h.mu.RUnlock()
+		s := h.shards[name]
 		start := time.Now()
-		mw, err := c.WatchMulti(ctx, client.WatchOptions{
+		mw, err := s.c.WatchMulti(ctx, client.WatchOptions{
 			Links: group, Kinds: sub.Kinds, AfterByLink: after, Buffer: 64,
 		})
-		h.fanoutDur.With(name, "stream").Observe(time.Since(start).Seconds())
+		s.streamDur.get().Observe(time.Since(start).Seconds())
 		if err != nil {
 			for _, open := range watches {
 				open.Close()

@@ -16,10 +16,11 @@ import (
 )
 
 // fakeShard is a scripted upstream divotd: enough of the HTTP surface for
-// herd discovery (/healthz, /v1/links) plus a binary /v1/stream that serves
+// herd discovery (/healthz, /v1/links), a binary /v1/stream that serves
 // a fixed per-link event history honoring the subscriber's resume map and
-// kind filter, then holds the stream open. Deterministic where a real daemon
-// would be driven by the physics engine.
+// kind filter, then holds the stream open, and a POST /v1/attest that
+// accepts every bus, in request order unless bend reorders the answer.
+// Deterministic where a real daemon would be driven by the physics engine.
 type fakeShard struct {
 	fed    string
 	events map[string][]attest.Event // per link, seq-ascending
@@ -27,6 +28,8 @@ type fakeShard struct {
 	mu   sync.Mutex
 	subs []wire.Subscribe
 	gap  *wire.Gap // when set, answer any subscribe with this gap frame
+	// bend, when set, rewrites the bus ids an attest answer covers.
+	bend func(ids []string) []string
 
 	srv *httptest.Server
 }
@@ -48,9 +51,29 @@ func newFakeShard(t *testing.T, fed string, events map[string][]attest.Event) *f
 		attest.WriteData(w, http.StatusOK, resp)
 	})
 	mux.HandleFunc("GET /v1/stream", fs.serveStream)
+	mux.HandleFunc("POST /v1/attest", fs.serveAttest)
 	fs.srv = httptest.NewServer(mux)
 	t.Cleanup(fs.srv.Close)
 	return fs
+}
+
+func (fs *fakeShard) serveAttest(w http.ResponseWriter, r *http.Request) {
+	req, err := attest.ReadAttestRequest(r.Body)
+	if err != nil {
+		attest.WriteError(w, attest.CodeBadRequest, "%v", err)
+		return
+	}
+	ids := req.Links
+	fs.mu.Lock()
+	if fs.bend != nil {
+		ids = fs.bend(ids)
+	}
+	fs.mu.Unlock()
+	resp := attest.AttestResponse{Results: []attest.AuthReport{}, AllAccepted: true}
+	for _, id := range ids {
+		resp.Results = append(resp.Results, attest.AuthReport{ID: id, Accepted: true, Score: 1, Health: "ok"})
+	}
+	attest.WriteData(w, http.StatusOK, resp)
 }
 
 func (fs *fakeShard) serveStream(w http.ResponseWriter, r *http.Request) {

@@ -74,6 +74,7 @@ func writeCodec(w http.ResponseWriter, status int, v any) bool {
 		return false
 	}
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(e.b)))
 	w.WriteHeader(status)
 	w.Write(e.b) //nolint:errcheck // client gone mid-response
 	return true
@@ -283,6 +284,39 @@ func (e *encoder) shardError(d int, s *ShardError) {
 		e.closeArray(d + 1)
 	}
 	e.closeObject(d)
+}
+
+// AppendAttestRequest appends the POST /v1/attest body naming ids: the bytes
+// json.Marshal writes for AttestRequest{Links: ids}.
+func AppendAttestRequest(dst []byte, ids []string) []byte {
+	if len(ids) == 0 {
+		return append(dst, "{}"...)
+	}
+	e := encoder{b: append(dst, `{"links":[`...)}
+	for i, id := range ids {
+		if i > 0 {
+			e.b = append(e.b, ',')
+		}
+		e.str(id)
+	}
+	return append(e.b, "]}"...)
+}
+
+// parseAttestRequest decodes a POST /v1/attest body in one pass when it lies
+// in the canonical subset, reporting false, with req untouched, otherwise.
+func parseAttestRequest(body []byte, req *AttestRequest) bool {
+	d := &decoder{b: body}
+	var links []string
+	var seen uint8
+	ok := d.object(func(k []byte) bool {
+		return string(k) == "links" && once(&seen, 1) && array(d, &links, (*decoder).str)
+	})
+	d.space()
+	if !ok || d.i != len(d.b) {
+		return false
+	}
+	req.Links = links
+	return true
 }
 
 // parseCodec decodes body into out in one pass when out is a zero-valued

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"testing"
 )
 
@@ -69,6 +71,9 @@ func assertSameWrite(t testing.TB, name string, v any) []byte {
 	}
 	if g, w := got.Header().Get("Content-Type"), want.Header().Get("Content-Type"); g != w {
 		t.Errorf("%s: Content-Type %q, oracle %q", name, g, w)
+	}
+	if cl := got.Header().Get("Content-Length"); cl != "" && cl != strconv.Itoa(got.Body.Len()) {
+		t.Errorf("%s: Content-Length %s for a %d-byte body", name, cl, got.Body.Len())
 	}
 	if !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
 		t.Fatalf("%s: body differs from the oracle\n--- codec:\n%s\n--- oracle:\n%s",
@@ -153,6 +158,9 @@ func TestCodecTakesTheFastPath(t *testing.T) {
 	} {
 		rec := httptest.NewRecorder()
 		WriteData(rec, http.StatusOK, v)
+		if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(rec.Body.Len()) {
+			t.Errorf("%s: Content-Length %q for a %d-byte body", name, cl, rec.Body.Len())
+		}
 		out := reflect.New(reflect.TypeOf(v))
 		if !parseCodec(rec.Body.Bytes(), out.Interface()) {
 			t.Errorf("%s: canonical body fell back to encoding/json", name)
@@ -388,6 +396,87 @@ func FuzzParseBody(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		assertSameParse(t, "fuzz", body)
+	})
+}
+
+// referenceReadAttestRequest is ReadAttestRequest before the codec path,
+// kept verbatim as its oracle: for every body the one-pass decoder must
+// return the same value and error.
+func referenceReadAttestRequest(body io.Reader) (AttestRequest, error) {
+	var req AttestRequest
+	raw, err := io.ReadAll(io.LimitReader(body, MaxRequestBody+1))
+	if err != nil {
+		return req, fmt.Errorf("reading attest request: %w", err)
+	}
+	if len(raw) > MaxRequestBody {
+		return req, fmt.Errorf("attest request exceeds %d bytes", MaxRequestBody)
+	}
+	if len(bytes.Trim(raw, " \t\r\n")) == 0 {
+		return req, nil
+	}
+	if err := json.Unmarshal(raw, &req); err != nil {
+		return req, fmt.Errorf("parsing attest request: %w", err)
+	}
+	return req, nil
+}
+
+// assertSameAttestRequest reads body through ReadAttestRequest and the
+// oracle and requires the same error text and a deeply equal value; a body
+// that parses must also re-encode through AppendAttestRequest to the bytes
+// json.Marshal writes.
+func assertSameAttestRequest(t testing.TB, body []byte) {
+	t.Helper()
+	got, gerr := ReadAttestRequest(bytes.NewReader(body))
+	want, werr := referenceReadAttestRequest(bytes.NewReader(body))
+	if fmt.Sprint(gerr) != fmt.Sprint(werr) || !reflect.DeepEqual(got, want) {
+		t.Fatalf("body %q: got %#v, %v; oracle %#v, %v", body, got, gerr, want, werr)
+	}
+	if werr != nil {
+		return
+	}
+	raw, _ := json.Marshal(want)
+	if enc := AppendAttestRequest(nil, want.Links); !bytes.Equal(enc, raw) {
+		t.Fatalf("links %q encode to %s, json.Marshal writes %s", want.Links, enc, raw)
+	}
+}
+
+// attestRequests are POST /v1/attest bodies at the edges of the canonical
+// subset: what the codec must decode, and what it must leave to
+// encoding/json.
+var attestRequests = []string{
+	``, ` `, `{}`, ` {"links":[]} `, `{"links":["dimm00"]}`, `{"links":["a","b","a"]}`,
+	"{\n  \"links\": [\n    \"a\",\n    \"b\"\n  ]\n}\n", `{"links":null}`,
+	`{"links":["a"],"links":["b"]}`, `{"LINKS":["a"]}`, `{"links":["a"],"x":1}`,
+	`{"links":["a\u0062"]}`, `{"links":["a\nb"]}`, "{\"links\":[\"bad\xff\"]}",
+	`{"links":["日本語"]}`, "{\"links\":[\"\xed\xa0\x80\"]}", `{"links":[1]}`,
+	`{"links":"a"}`, `{"links":["a",]}`, `{"links":["a"]} x`, `{"links":["a"]}{}`,
+	`{"links":["a"]`, `[]`, `null`, "\ufeff{}",
+}
+
+// TestReadAttestRequestMatchesOracle covers the request edge cases and
+// checks that a client-written body takes the one-pass path.
+func TestReadAttestRequestMatchesOracle(t *testing.T) {
+	for _, body := range attestRequests {
+		assertSameAttestRequest(t, []byte(body))
+	}
+	for _, ids := range [][]string{{"dimm00"}, {"a", "b", "a"}, codecStrings} {
+		raw, _ := json.Marshal(AttestRequest{Links: ids})
+		assertSameAttestRequest(t, raw)
+	}
+	var req AttestRequest
+	if !parseAttestRequest(AppendAttestRequest(nil, []string{"dimm00", "bus-007"}), &req) {
+		t.Error("a client-written request fell back to encoding/json")
+	}
+}
+
+// FuzzReadAttestRequest: on any body ReadAttestRequest must return what the
+// encoding/json oracle returns.
+func FuzzReadAttestRequest(f *testing.F) {
+	for _, body := range attestRequests {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		assertSameAttestRequest(t, body)
 	})
 }
 

@@ -130,7 +130,9 @@ const MaxRequestBody = 16 << 20
 // divotherd alike. An empty or all-whitespace body is the whole-fleet
 // request. A body larger than MaxRequestBody, or one that is not exactly one
 // JSON value decoding into AttestRequest (trailing data and a second value
-// included), is an error the servers answer 400 bad_request.
+// included), is an error the servers answer 400 bad_request. A body in the
+// codec's canonical subset is decoded in one pass (codec.go); everything
+// else, and every error, comes from encoding/json.
 func ReadAttestRequest(body io.Reader) (AttestRequest, error) {
 	var req AttestRequest
 	raw, err := io.ReadAll(io.LimitReader(body, MaxRequestBody+1))
@@ -140,7 +142,7 @@ func ReadAttestRequest(body io.Reader) (AttestRequest, error) {
 	if len(raw) > MaxRequestBody {
 		return req, fmt.Errorf("attest request exceeds %d bytes", MaxRequestBody)
 	}
-	if len(bytes.Trim(raw, " \t\r\n")) == 0 {
+	if len(bytes.Trim(raw, " \t\r\n")) == 0 || parseAttestRequest(raw, &req) {
 		return req, nil
 	}
 	if err := json.Unmarshal(raw, &req); err != nil {
