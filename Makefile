@@ -97,14 +97,17 @@ bench-experiments:
 ## fuzz-short: a quick native-fuzzing pass over the adversarial-input
 ## decoders — the snapshot envelope, the WAL record scanner/replayer, and the
 ## binary stream frame codec must never panic or fabricate a record on
-## adversarial bytes, the attest codec's ParseBody and ReadAttestRequest must
-## return exactly what the encoding/json oracle returns, and a fleet spec file
-## must either fail to load or validate (CI runs this on every push)
+## adversarial bytes, the stream subscribe handshake must fail or yield a
+## value its own JSON re-parses to, the attest codec's ParseBody and
+## ReadAttestRequest must return exactly what the encoding/json oracle
+## returns, and a fleet spec file must either fail to load or validate (CI
+## runs this on every push)
 fuzz-short:
 	$(GO) test ./internal/store -run XXX -fuzz FuzzDecodeSnapshot -fuzztime 10s
 	$(GO) test ./internal/store -run XXX -fuzz FuzzScanRecord -fuzztime 10s
 	$(GO) test ./internal/store -run XXX -fuzz FuzzWALReplay -fuzztime 10s
 	$(GO) test ./internal/wire -run XXX -fuzz FuzzDecodeFrame -fuzztime 10s
+	$(GO) test ./internal/wire -run XXX -fuzz FuzzParseSubscribeRequest -fuzztime 10s
 	$(GO) test ./internal/attest -run XXX -fuzz FuzzParseBody -fuzztime 10s
 	$(GO) test ./internal/attest -run XXX -fuzz FuzzReadAttestRequest -fuzztime 10s
 	$(GO) test ./internal/daemon -run XXX -fuzz FuzzLoadSpec -fuzztime 10s

@@ -33,7 +33,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"divot/internal/attest"
@@ -154,11 +153,6 @@ type Client struct {
 	timeout time.Duration
 	retry   RetryPolicy
 	ua      string
-
-	// streamMode caches the negotiated watch transport (streamMode*
-	// constants): binary multiplexed /v1/stream when the daemon serves it,
-	// legacy per-link SSE when it predates the endpoint.
-	streamMode atomic.Int32
 
 	// sleep and rnd are seams for deterministic retry tests.
 	sleep func(ctx context.Context, d time.Duration) error

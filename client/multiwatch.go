@@ -1,10 +1,8 @@
 package client
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -15,30 +13,15 @@ import (
 	"divot/internal/wire"
 )
 
-// Stream transport modes, negotiated once per Client and cached: the first
-// WatchMulti/Watch probes GET /v1/stream, and a daemon that predates it (a
-// bare, non-envelope 404/405/501) downgrades every later watch on this Client
-// to the legacy per-link SSE feed.
-const (
-	streamModeUnknown = int32(iota)
-	streamModeBinary
-	streamModeLegacy
-)
-
-// errStreamUnsupported marks a daemon that does not serve GET /v1/stream.
-var errStreamUnsupported = errors.New("client: daemon does not serve /v1/stream")
-
 // MultiWatch is a live subscription to many buses' event feeds over one
 // logical stream. Events from every subscribed link arrive interleaved on
 // Events(), each link's events in its own sequence order, deduplicated, with
 // the same exactly-once-across-reconnects guarantee Watch documents — per
 // link, keyed by the per-link cursors LastSeq exposes.
 //
-// Transport is negotiated: against a current daemon the subscription is one
-// multiplexed binary connection (GET /v1/stream, internal/wire framing);
-// against a daemon that predates the endpoint it degrades transparently to
-// one legacy SSE connection per link, same events, same guarantees. The
-// negotiated mode is cached on the Client.
+// The subscription rides one multiplexed binary connection at a time
+// (GET /v1/stream, internal/wire framing), redialed with every link's cursor
+// after a disconnect.
 type MultiWatch struct {
 	ch     chan Event
 	cancel context.CancelFunc
@@ -89,9 +72,7 @@ func (mw *MultiWatch) Close() { mw.cancel() }
 // Err reports why the subscription ended: nil until Events() closes, then
 // the caller's context error for cancellation, an *APIError for a server
 // refusal, a *ResumeGapError for an evicted resume point, or the transport
-// fault that exhausted the retry policy. The first terminal cause wins — a
-// legacy-mode subscription runs one connection per link, and one link's
-// terminal failure ends the whole subscription.
+// fault that exhausted the retry policy.
 func (mw *MultiWatch) Err() error {
 	mw.mu.Lock()
 	defer mw.mu.Unlock()
@@ -135,9 +116,8 @@ func (mw *MultiWatch) setLinks(links []string) {
 // *ResumeGapError naming the link, never a silent skip).
 //
 // The first connection is established synchronously — an unknown bus or
-// unreachable daemon reports here, not on the channel. Transport (binary
-// multiplexed stream vs legacy per-link SSE) is negotiated and cached on the
-// Client; see MultiWatch.
+// unreachable daemon reports here, not on the channel. A daemon that does
+// not serve GET /v1/stream answers with an *APIError here too.
 func (c *Client) WatchMulti(ctx context.Context, opts WatchOptions) (*MultiWatch, error) {
 	if opts.Buffer <= 0 {
 		opts.Buffer = 16
@@ -152,24 +132,12 @@ func (c *Client) WatchMulti(ctx context.Context, opts WatchOptions) (*MultiWatch
 	}
 	mw.setLinks(opts.Links)
 
-	if c.streamMode.Load() != streamModeLegacy {
-		resp, err := c.connectMulti(wctx, opts.Links, opts.Kinds, mw.cursorsCopy())
-		switch {
-		case err == nil:
-			c.streamMode.Store(streamModeBinary)
-			go mw.runBinary(wctx, c, opts, resp)
-			return mw, nil
-		case errors.Is(err, errStreamUnsupported):
-			c.streamMode.Store(streamModeLegacy)
-		default:
-			cancel()
-			return nil, err
-		}
-	}
-	if err := mw.startLegacy(wctx, c, opts); err != nil {
+	resp, err := c.connectMulti(wctx, opts.Links, opts.Kinds, mw.cursorsCopy())
+	if err != nil {
 		cancel()
 		return nil, err
 	}
+	go mw.runBinary(wctx, c, opts, resp)
 	return mw, nil
 }
 
@@ -204,8 +172,8 @@ func (c *Client) streamURL(links, kinds []string, after map[string]uint64) strin
 }
 
 // connectMulti dials the binary stream, retrying transport faults and 5xx
-// answers under the client's policy. errStreamUnsupported (the daemon
-// predates the endpoint) is terminal here — the caller falls back to SSE.
+// answers under the client's policy. On success the response body is the open
+// stream (no per-attempt timeout — streams live until closed).
 func (c *Client) connectMulti(ctx context.Context, links, kinds []string, after map[string]uint64) (*http.Response, error) {
 	u := c.streamURL(links, kinds, after)
 	var lastErr error
@@ -245,29 +213,9 @@ func (c *Client) dialMulti(ctx context.Context, url string) (*http.Response, err
 		defer resp.Body.Close()
 		raw := make([]byte, 4096)
 		n, _ := resp.Body.Read(raw)
-		derr := decodeResponse(resp.StatusCode, raw[:n], nil)
-		if streamUnsupported(resp.StatusCode, derr) {
-			return nil, errStreamUnsupported
-		}
-		return nil, derr
+		return nil, decodeResponse(resp.StatusCode, raw[:n], nil)
 	}
 	return resp, nil
-}
-
-// streamUnsupported recognizes the version-negotiation signal: a daemon that
-// predates GET /v1/stream answers its mux's bare 404 (or a proxy's 405/501) —
-// a non-envelope body, which decodeResponse maps to a synthetic internal
-// error. An *envelope* error on the same statuses is a current daemon
-// refusing the subscription (unknown link) and stays terminal.
-func streamUnsupported(status int, err error) bool {
-	switch status {
-	case http.StatusNotFound, http.StatusMethodNotAllowed, http.StatusNotImplemented:
-	default:
-		return false
-	}
-	var aerr *APIError
-	return errors.As(err, &aerr) && aerr.Code == CodeInternal &&
-		strings.HasPrefix(aerr.Message, "non-envelope answer")
 }
 
 // runBinary consumes binary stream connections until the context ends, a
@@ -344,7 +292,8 @@ func (mw *MultiWatch) consumeBinary(ctx context.Context, resp *http.Response, op
 			if err != nil {
 				return fmt.Errorf("client: bad event frame: %w", err)
 			}
-			if ev.Seq <= mw.cursor(ev.Link) {
+			prev := mw.cursor(ev.Link)
+			if ev.Seq <= prev {
 				continue // replay/live overlap: already delivered
 			}
 			if !checked[ev.Link] {
@@ -353,152 +302,16 @@ func (mw *MultiWatch) consumeBinary(ctx context.Context, resp *http.Response, op
 					return &ResumeGapError{Link: ev.Link, Resume: r, Oldest: ev.Seq}
 				}
 			}
+			// Advance the cursor before the hand-off: a consumer that reads
+			// LastSeq right after receiving ev must see ev.Seq, or a cursor it
+			// persists would replay ev. Undo it if ev is never handed off.
+			mw.setCursor(ev.Link, ev.Seq)
 			select {
 			case mw.ch <- ev:
-				mw.setCursor(ev.Link, ev.Seq)
 			case <-ctx.Done():
+				mw.setCursor(ev.Link, prev)
 				return nil
 			}
 		}
 	}
-}
-
-// startLegacy opens the legacy per-link SSE fan-out: one /v1/links/{id}/events
-// connection per subscribed link, all delivering into the shared channel with
-// client-side kind filtering. Every first connection is established
-// synchronously so unknown links report from WatchMulti itself.
-func (mw *MultiWatch) startLegacy(ctx context.Context, c *Client, opts WatchOptions) error {
-	links := opts.Links
-	if len(links) == 0 {
-		// The legacy transport has no fleet-wide subscription: expand it
-		// through the links listing, like a binary Hello would.
-		sums, err := c.Links(ctx)
-		if err != nil {
-			return err
-		}
-		links = make([]string, 0, len(sums))
-		for _, s := range sums {
-			links = append(links, s.ID)
-		}
-	}
-	seen := make(map[string]bool, len(links))
-	uniq := links[:0:0]
-	for _, id := range links {
-		if !seen[id] {
-			seen[id] = true
-			uniq = append(uniq, id)
-		}
-	}
-	links = uniq
-	mw.setLinks(links)
-	kinds := make(map[string]bool, len(opts.Kinds))
-	for _, k := range opts.Kinds {
-		kinds[k] = true
-	}
-
-	conns := make([]*http.Response, len(links))
-	for i, id := range links {
-		resp, err := c.connectStream(ctx, id, mw.cursor(id))
-		if err != nil {
-			for _, open := range conns[:i] {
-				open.Body.Close()
-			}
-			return err
-		}
-		conns[i] = resp
-	}
-	var wg sync.WaitGroup
-	for i, id := range links {
-		wg.Add(1)
-		go func(id string, resp *http.Response) {
-			defer wg.Done()
-			mw.runLegacyLink(ctx, c, id, kinds, resp)
-		}(id, conns[i])
-	}
-	go func() {
-		wg.Wait()
-		close(mw.ch)
-	}()
-	return nil
-}
-
-// runLegacyLink consumes one link's SSE connections until the context ends or
-// a terminal failure. A terminal failure on any link ends the whole
-// subscription: the error is recorded (first cause wins) and the shared
-// context cancelled so sibling links stop too.
-func (mw *MultiWatch) runLegacyLink(ctx context.Context, c *Client, id string, kinds map[string]bool, resp *http.Response) {
-	for {
-		if err := mw.consumeSSE(ctx, resp, id, kinds); err != nil {
-			mw.setErr(err)
-			mw.cancel()
-			return
-		}
-		if ctx.Err() != nil {
-			mw.setErr(ctx.Err())
-			return
-		}
-		next, err := c.connectStream(ctx, id, mw.cursor(id))
-		if err != nil {
-			if ctx.Err() != nil {
-				err = ctx.Err()
-			}
-			mw.setErr(err)
-			mw.cancel()
-			return
-		}
-		resp = next
-	}
-}
-
-// consumeSSE parses one legacy SSE connection until it ends. Frames are
-// "id:/event:/data:" blocks separated by blank lines; comment lines (": hb"
-// heartbeats, ": shutdown") keep the connection warm and are skipped. Events
-// at or below the link's cursor are dropped — the replay window and the live
-// queue may overlap.
-//
-// The first event on a resumed connection is the continuity check: a
-// connection opened with ?after=R (R > 0) must see R+1 first — anything later
-// means the ring evicted part of the feed, reported as *ResumeGapError. The
-// legacy feed is unfiltered on the wire, so the check is valid even under a
-// kind filter; filtering happens after it, client-side.
-func (mw *MultiWatch) consumeSSE(ctx context.Context, resp *http.Response, id string, kinds map[string]bool) error {
-	defer resp.Body.Close()
-	resume := mw.cursor(id)
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 4096), 1<<20)
-	var data string
-	first := true
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case line == "":
-			if data == "" {
-				continue // end of a comment-only block
-			}
-			var ev Event
-			if err := json.Unmarshal([]byte(data), &ev); err == nil && ev.Seq > mw.cursor(id) {
-				if first {
-					first = false
-					if resume > 0 && ev.Seq > resume+1 {
-						return &ResumeGapError{Link: id, Resume: resume, Oldest: ev.Seq}
-					}
-				}
-				if len(kinds) == 0 || kinds[ev.Kind] {
-					select {
-					case mw.ch <- ev:
-						mw.setCursor(id, ev.Seq)
-					case <-ctx.Done():
-						return nil
-					}
-				}
-			}
-			data = ""
-		case strings.HasPrefix(line, "data:"):
-			data = strings.TrimSpace(strings.TrimPrefix(line, "data:"))
-		default:
-			// "id:" and "event:" lines duplicate fields already inside the
-			// data payload; comments (":") are keep-alives.
-		}
-	}
-	return nil
 }

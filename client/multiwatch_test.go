@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -15,9 +14,11 @@ import (
 	"divot/internal/wire"
 )
 
-// binaryScript serves scripted binary /v1/stream connections, mirroring
-// streamScript for the multiplexed transport. Connection i gets a Hello for
-// the requested links, then frames[i], then holds or disconnects.
+// binaryScript serves scripted binary /v1/stream connections: connection i
+// gets a Hello for the requested links, then frames[i], then holds the
+// stream open until the client goes away or disconnects (a mid-stream cut
+// from the client's point of view). It records each connection's Subscribe
+// handshake so tests can assert the resume protocol.
 type binaryScript struct {
 	mu    sync.Mutex
 	subs  []wire.Subscribe
@@ -202,56 +203,5 @@ func TestWatchMultiBinaryErrorFrameFailsTyped(t *testing.T) {
 	var apiErr *APIError
 	if !errors.As(mw.Err(), &apiErr) || apiErr.Code != attest.CodeUnknownLink {
 		t.Fatalf("err = %v, want *APIError unknown_link", mw.Err())
-	}
-}
-
-// TestStreamModeCachedAcrossWatches pins the negotiation contract: one probe
-// per Client, not per Watch. After the first /v1/stream answers a bare 404,
-// every later watch on the same Client goes straight to the SSE fallback.
-func TestStreamModeCachedAcrossWatches(t *testing.T) {
-	var mu sync.Mutex
-	probes := 0
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/stream" {
-			mu.Lock()
-			probes++
-			mu.Unlock()
-			http.NotFound(w, r)
-			return
-		}
-		w.Header().Set("Content-Type", "text/event-stream")
-		w.WriteHeader(http.StatusOK)
-		fl := w.(http.Flusher)
-		fmt.Fprintf(w, "data: {\"seq\":1,\"kind\":\"round\",\"link\":\"d\"}\n\n")
-		fl.Flush()
-		<-r.Context().Done()
-	}))
-	defer srv.Close()
-
-	c, err := New(srv.URL, WithRetryPolicy(fastRetry()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		w, err := c.Watch(context.Background(), "d", WatchOptions{})
-		if err != nil {
-			t.Fatalf("watch %d: %v", i, err)
-		}
-		select {
-		case ev := <-w.Events():
-			if ev.Seq != 1 {
-				t.Fatalf("watch %d: seq = %d, want 1", i, ev.Seq)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("watch %d stalled", i)
-		}
-		w.Close()
-		for range w.Events() {
-		}
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if probes != 1 {
-		t.Fatalf("probes = %d, want 1 (mode must be cached on the Client)", probes)
 	}
 }

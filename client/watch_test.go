@@ -3,83 +3,36 @@ package client
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"divot/internal/attest"
+	"divot/internal/wire"
 )
 
-// streamScript serves scripted SSE connections: connection i sends frames[i]
-// (with heartbeats interleaved) and then either disconnects or holds the
-// stream open until the client goes away. It records each connection's
-// ?after value so tests can assert the resume protocol.
-type streamScript struct {
-	mu     sync.Mutex
-	afters []uint64
-	conns  int
-	// script returns the events to send on connection n (0-based) and
-	// whether to hold the stream open afterwards.
-	script func(conn int) (events []Event, hold bool)
-	srv    *httptest.Server
+// watchFrames encodes events as one scripted connection's frames with a
+// heartbeat before and after each event: heartbeats must stay invisible.
+func watchFrames(evs ...Event) []byte {
+	hb := wire.AppendFrame(nil, wire.FrameHeartbeat, nil)
+	buf := append([]byte(nil), hb...)
+	for _, ev := range evs {
+		buf = wire.AppendEventFrame(buf, ev)
+		buf = append(buf, hb...)
+	}
+	return buf
 }
 
-func newStreamScript(t *testing.T, script func(conn int) ([]Event, bool)) *streamScript {
-	t.Helper()
-	ss := &streamScript{script: script}
-	ss.srv = httptest.NewServer(http.HandlerFunc(ss.serve))
-	t.Cleanup(ss.srv.Close)
-	return ss
-}
-
-func (ss *streamScript) serve(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path == "/v1/stream" {
-		// This fake daemon predates the binary stream: the client's probe
-		// gets a bare 404 and falls back to SSE. Not counted as a connection.
-		http.NotFound(w, r)
-		return
+// seenAfters lists each scripted connection's resume cursor for link id.
+func (bs *binaryScript) seenAfters(id string) []uint64 {
+	var out []uint64
+	for _, sub := range bs.seenSubs() {
+		out = append(out, sub.After[id])
 	}
-	after := uint64(0)
-	if raw := r.URL.Query().Get("after"); raw != "" {
-		n, err := strconv.ParseUint(raw, 10, 64)
-		if err != nil {
-			attest.WriteError(w, attest.CodeBadRequest, "bad after=%q", raw)
-			return
-		}
-		after = n
-	}
-	ss.mu.Lock()
-	conn := ss.conns
-	ss.conns++
-	ss.afters = append(ss.afters, after)
-	ss.mu.Unlock()
-	events, hold := ss.script(conn)
-
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.WriteHeader(http.StatusOK)
-	fl := w.(http.Flusher)
-	fmt.Fprintf(w, ": hb\n\n") // leading heartbeat, must be skipped
-	fl.Flush()
-	for _, ev := range events {
-		raw := fmt.Sprintf(`{"seq":%d,"kind":%q,"link":%q}`, ev.Seq, ev.Kind, ev.Link)
-		fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n: hb\n\n", ev.Seq, ev.Kind, raw)
-		fl.Flush()
-	}
-	if hold {
-		<-r.Context().Done()
-	}
-	// Returning severs the connection: a mid-stream disconnect from the
-	// client's point of view.
-}
-
-func (ss *streamScript) seenAfters() []uint64 {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	return append([]uint64(nil), ss.afters...)
+	return out
 }
 
 func fastRetry() RetryPolicy {
@@ -106,22 +59,30 @@ func collectN(t *testing.T, w *Watch, n int) []Event {
 
 // TestWatchResumesAcrossDisconnects is the streaming acceptance test: the
 // server drops the connection twice mid-stream; the watch must redial with
-// ?after set to the last delivered sequence number and the consumer must see
-// every event exactly once, in order, heartbeats invisible.
+// its resume cursor set to the last delivered sequence number, and the
+// consumer must see every event exactly once, in order, heartbeats
+// invisible.
 func TestWatchResumesAcrossDisconnects(t *testing.T) {
-	ss := newStreamScript(t, func(conn int) ([]Event, bool) {
+	bs := newBinaryScript(t, func(conn int) ([]byte, bool) {
 		switch conn {
 		case 0:
-			return []Event{{Seq: 1, Kind: "round", Link: "dimm0"}, {Seq: 2, Kind: "alert", Link: "dimm0"}, {Seq: 3, Kind: "gate", Link: "dimm0"}}, false
+			return watchFrames(
+				Event{Seq: 1, Kind: "round", Link: "dimm0"},
+				Event{Seq: 2, Kind: "alert", Link: "dimm0"},
+				Event{Seq: 3, Kind: "gate", Link: "dimm0"},
+			), false
 		case 1:
 			// Overlap: the server's replay window may resend seq 3; the
 			// watch must deduplicate it.
-			return []Event{{Seq: 3, Kind: "gate", Link: "dimm0"}, {Seq: 4, Kind: "health", Link: "dimm0"}}, false
+			return watchFrames(
+				Event{Seq: 3, Kind: "gate", Link: "dimm0"},
+				Event{Seq: 4, Kind: "health", Link: "dimm0"},
+			), false
 		default:
-			return []Event{{Seq: 5, Kind: "round", Link: "dimm0"}}, true
+			return watchFrames(Event{Seq: 5, Kind: "round", Link: "dimm0"}), true
 		}
 	})
-	c, err := New(ss.srv.URL, WithRetryPolicy(fastRetry()))
+	c, err := New(bs.srv.URL, WithRetryPolicy(fastRetry()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,9 +103,7 @@ func TestWatchResumesAcrossDisconnects(t *testing.T) {
 	}
 	// Connect 0 starts fresh, connect 1 resumes past the first drop (seq 3
 	// delivered), connect 2 past the second (seq 4 delivered).
-	afters := ss.seenAfters()
-	want := []uint64{0, 3, 4}
-	if len(afters) != 3 || afters[0] != want[0] || afters[1] != want[1] || afters[2] != want[2] {
+	if afters, want := bs.seenAfters("dimm0"), []uint64{0, 3, 4}; !reflect.DeepEqual(afters, want) {
 		t.Errorf("server saw after=%v, want %v (resume from last seen seq)", afters, want)
 	}
 	// Cancellation closes the channel and reports the context error.
@@ -159,10 +118,10 @@ func TestWatchResumesAcrossDisconnects(t *testing.T) {
 // TestWatchAfterOptionSkipsReplay: WatchOptions.After travels to the server
 // on the first connection and pre-seeds the dedupe floor.
 func TestWatchAfterOptionSkipsReplay(t *testing.T) {
-	ss := newStreamScript(t, func(conn int) ([]Event, bool) {
-		return []Event{{Seq: 7, Kind: "round", Link: "d"}, {Seq: 8, Kind: "alert", Link: "d"}}, true
+	bs := newBinaryScript(t, func(conn int) ([]byte, bool) {
+		return watchFrames(Event{Seq: 7, Kind: "round", Link: "d"}, Event{Seq: 8, Kind: "alert", Link: "d"}), true
 	})
-	c, err := New(ss.srv.URL, WithRetryPolicy(fastRetry()))
+	c, err := New(bs.srv.URL, WithRetryPolicy(fastRetry()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +135,7 @@ func TestWatchAfterOptionSkipsReplay(t *testing.T) {
 	if got[0].Seq != 8 {
 		t.Errorf("first delivered seq = %d, want 8 (7 is below the After floor)", got[0].Seq)
 	}
-	if afters := ss.seenAfters(); len(afters) != 1 || afters[0] != 7 {
+	if afters := bs.seenAfters("d"); len(afters) != 1 || afters[0] != 7 {
 		t.Errorf("server saw after=%v, want [7]", afters)
 	}
 }
@@ -187,6 +146,9 @@ func TestWatchUnknownLinkFailsFast(t *testing.T) {
 	conns := 0
 	var mu sync.Mutex
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/stream" {
+			t.Errorf("watch dialed %s, want /v1/stream", r.URL.Path)
+		}
 		mu.Lock()
 		conns++
 		mu.Unlock()
@@ -209,20 +171,45 @@ func TestWatchUnknownLinkFailsFast(t *testing.T) {
 	}
 }
 
+// TestWatchWithoutStreamRouteFails: a server that does not serve
+// GET /v1/stream answers a bare 404. There is no other transport to fall
+// back to, so Watch reports the decoded *APIError synchronously, no retries.
+func TestWatchWithoutStreamRouteFails(t *testing.T) {
+	var mu sync.Mutex
+	conns := 0
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		conns++
+		mu.Unlock()
+		http.NotFound(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	c, err := New(srv.URL, WithRetryPolicy(fastRetry()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.Watch(context.Background(), "d", WatchOptions{})
+	var aerr *APIError
+	if !errors.As(err, &aerr) || aerr.Status != http.StatusNotFound {
+		t.Fatalf("Watch err = %v, want *APIError with status 404", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if conns != 1 {
+		t.Errorf("server saw %d connects, want 1 (a 404 is terminal)", conns)
+	}
+}
+
 // TestWatchConnectRetriesThrough5xx: a daemon mid-restart answers 503; the
 // initial connect retries through it under the policy.
 func TestWatchConnectRetriesThrough5xx(t *testing.T) {
 	conns := 0
 	var mu sync.Mutex
-	ss := newStreamScript(t, func(conn int) ([]Event, bool) {
-		return []Event{{Seq: 1, Kind: "round", Link: "d"}}, true
+	bs := newBinaryScript(t, func(conn int) ([]byte, bool) {
+		return watchFrames(Event{Seq: 1, Kind: "round", Link: "d"}), true
 	})
-	inner := ss.srv.Config.Handler
-	ss.srv.Config.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/stream" {
-			http.NotFound(w, r) // probe falls back to SSE; not a counted connection
-			return
-		}
+	inner := bs.srv.Config.Handler
+	bs.srv.Config.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		mu.Lock()
 		n := conns
 		conns++
@@ -233,7 +220,7 @@ func TestWatchConnectRetriesThrough5xx(t *testing.T) {
 		}
 		inner.ServeHTTP(w, r)
 	})
-	c, err := New(ss.srv.URL, WithRetryPolicy(fastRetry()))
+	c, err := New(bs.srv.URL, WithRetryPolicy(fastRetry()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,15 +241,11 @@ func TestWatchConnectRetriesThrough5xx(t *testing.T) {
 func TestWatchGivesUpWhenReconnectExhausts(t *testing.T) {
 	down := false
 	var mu sync.Mutex
-	ss := newStreamScript(t, func(conn int) ([]Event, bool) {
-		return []Event{{Seq: 1, Kind: "round", Link: "d"}}, false
+	bs := newBinaryScript(t, func(conn int) ([]byte, bool) {
+		return watchFrames(Event{Seq: 1, Kind: "round", Link: "d"}), false
 	})
-	inner := ss.srv.Config.Handler
-	ss.srv.Config.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/stream" {
-			http.NotFound(w, r) // probe falls back to SSE; not a counted connection
-			return
-		}
+	inner := bs.srv.Config.Handler
+	bs.srv.Config.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		mu.Lock()
 		d := down
 		down = true // first connection streams, everything after is down
@@ -273,7 +256,7 @@ func TestWatchGivesUpWhenReconnectExhausts(t *testing.T) {
 		}
 		inner.ServeHTTP(w, r)
 	})
-	c, err := New(ss.srv.URL, WithRetryPolicy(fastRetry()))
+	c, err := New(bs.srv.URL, WithRetryPolicy(fastRetry()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,11 +290,11 @@ func TestWatchGivesUpWhenReconnectExhausts(t *testing.T) {
 // *ResumeGapError carrying the hole's bounds, delivering nothing, rather
 // than silently skipping ahead.
 func TestWatchResumeGapFailsTyped(t *testing.T) {
-	ss := newStreamScript(t, func(conn int) ([]Event, bool) {
+	bs := newBinaryScript(t, func(conn int) ([]byte, bool) {
 		// The ring's oldest survivor is seq 9; events 6..8 are gone.
-		return []Event{{Seq: 9, Kind: "round", Link: "d"}, {Seq: 10, Kind: "alert", Link: "d"}}, true
+		return watchFrames(Event{Seq: 9, Kind: "round", Link: "d"}, Event{Seq: 10, Kind: "alert", Link: "d"}), true
 	})
-	c, err := New(ss.srv.URL, WithRetryPolicy(fastRetry()))
+	c, err := New(bs.srv.URL, WithRetryPolicy(fastRetry()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,8 +313,8 @@ func TestWatchResumeGapFailsTyped(t *testing.T) {
 			if !errors.As(w.Err(), &gap) {
 				t.Fatalf("Err() = %v, want *ResumeGapError", w.Err())
 			}
-			if gap.Resume != 5 || gap.Oldest != 9 {
-				t.Errorf("gap = {Resume:%d Oldest:%d}, want {Resume:5 Oldest:9}", gap.Resume, gap.Oldest)
+			if gap.Link != "d" || gap.Resume != 5 || gap.Oldest != 9 {
+				t.Errorf("gap = %+v, want {Link:d Resume:5 Oldest:9}", *gap)
 			}
 			return
 		case <-deadline:
@@ -345,14 +328,14 @@ func TestWatchResumeGapFailsTyped(t *testing.T) {
 // normally, then the gapped resume ends the feed instead of bridging the
 // hole.
 func TestWatchResumeGapAfterReconnect(t *testing.T) {
-	ss := newStreamScript(t, func(conn int) ([]Event, bool) {
+	bs := newBinaryScript(t, func(conn int) ([]byte, bool) {
 		if conn == 0 {
-			return []Event{{Seq: 1, Kind: "round", Link: "d"}, {Seq: 2, Kind: "alert", Link: "d"}}, false
+			return watchFrames(Event{Seq: 1, Kind: "round", Link: "d"}, Event{Seq: 2, Kind: "alert", Link: "d"}), false
 		}
-		// By the time the watch redials with ?after=2, the ring starts at 10.
-		return []Event{{Seq: 10, Kind: "round", Link: "d"}}, true
+		// By the time the watch redials resuming past 2, the ring starts at 10.
+		return watchFrames(Event{Seq: 10, Kind: "round", Link: "d"}), true
 	})
-	c, err := New(ss.srv.URL, WithRetryPolicy(fastRetry()))
+	c, err := New(bs.srv.URL, WithRetryPolicy(fastRetry()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,10 +358,10 @@ func TestWatchResumeGapAfterReconnect(t *testing.T) {
 			if !errors.As(w.Err(), &gap) {
 				t.Fatalf("Err() = %v, want *ResumeGapError", w.Err())
 			}
-			if gap.Resume != 2 || gap.Oldest != 10 {
-				t.Errorf("gap = {Resume:%d Oldest:%d}, want {Resume:2 Oldest:10}", gap.Resume, gap.Oldest)
+			if gap.Link != "d" || gap.Resume != 2 || gap.Oldest != 10 {
+				t.Errorf("gap = %+v, want {Link:d Resume:2 Oldest:10}", *gap)
 			}
-			if afters := ss.seenAfters(); len(afters) != 2 || afters[1] != 2 {
+			if afters := bs.seenAfters("d"); len(afters) != 2 || afters[1] != 2 {
 				t.Errorf("server saw after=%v, want [0 2]", afters)
 			}
 			return
@@ -391,10 +374,10 @@ func TestWatchResumeGapAfterReconnect(t *testing.T) {
 // TestWatchAfterZeroClaimsNothing: an After-less watch starts wherever the
 // ring starts — a high first sequence number is not a gap.
 func TestWatchAfterZeroClaimsNothing(t *testing.T) {
-	ss := newStreamScript(t, func(conn int) ([]Event, bool) {
-		return []Event{{Seq: 50, Kind: "round", Link: "d"}}, true
+	bs := newBinaryScript(t, func(conn int) ([]byte, bool) {
+		return watchFrames(Event{Seq: 50, Kind: "round", Link: "d"}), true
 	})
-	c, err := New(ss.srv.URL, WithRetryPolicy(fastRetry()))
+	c, err := New(bs.srv.URL, WithRetryPolicy(fastRetry()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,10 +395,10 @@ func TestWatchAfterZeroClaimsNothing(t *testing.T) {
 // TestWatchCloseEndsFeed: Close tears the stream down without an external
 // context.
 func TestWatchCloseEndsFeed(t *testing.T) {
-	ss := newStreamScript(t, func(conn int) ([]Event, bool) {
-		return []Event{{Seq: 1, Kind: "round", Link: "d"}}, true
+	bs := newBinaryScript(t, func(conn int) ([]byte, bool) {
+		return watchFrames(Event{Seq: 1, Kind: "round", Link: "d"}), true
 	})
-	c, err := New(ss.srv.URL, WithRetryPolicy(fastRetry()))
+	c, err := New(bs.srv.URL, WithRetryPolicy(fastRetry()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,8 +50,7 @@ func stubDaemon(t *testing.T) *httptest.Server {
 			{Round: 3, Score: 0.41, Health: "failed", Reaction: "alert_and_block", Verdict: "auth-failure"},
 		}})
 	})
-	// The binary multiplexed stream, serving the same events as the SSE
-	// route below — divotctl negotiates this one first.
+	// The binary multiplexed stream every watch subscribes through.
 	mux.HandleFunc("GET /v1/stream", func(w http.ResponseWriter, r *http.Request) {
 		sub, err := wire.ParseSubscribeRequest(r)
 		if err != nil {
@@ -98,19 +97,6 @@ func stubDaemon(t *testing.T) *httptest.Server {
 			}
 		}
 		w.Write(buf) //nolint:errcheck // test server
-		w.(http.Flusher).Flush()
-		<-r.Context().Done()
-	})
-	mux.HandleFunc("GET /v1/links/{id}/events", func(w http.ResponseWriter, r *http.Request) {
-		if r.PathValue("id") != "victim" {
-			attest.WriteError(w, attest.CodeUnknownLink, "unknown bus")
-			return
-		}
-		w.Header().Set("Content-Type", "text/event-stream")
-		w.WriteHeader(http.StatusOK)
-		w.Write([]byte(": hb\n\n" + //nolint:errcheck
-			"id: 5\nevent: alert\ndata: {\"seq\":5,\"kind\":\"alert\",\"link\":\"victim\",\"side\":\"cpu\",\"round\":3,\"score\":0.41}\n\n" +
-			"id: 6\nevent: gate\ndata: {\"seq\":6,\"kind\":\"gate\",\"link\":\"victim\",\"side\":\"cpu\",\"round\":3,\"from\":\"open\",\"to\":\"closed\"}\n\n"))
 		w.(http.Flusher).Flush()
 		<-r.Context().Done()
 	})

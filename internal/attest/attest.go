@@ -24,9 +24,10 @@
 // start at 1, and are strictly monotonic for the daemon's lifetime; a client
 // resumes after a disconnect with ?after=<last seen seq>. Events older than
 // the daemon's per-link retention ring cannot be replayed — a resume past the
-// ring's tail is answered from the oldest retained event, and the SDK
-// surfaces that discontinuity as a typed error (client.ResumeGapError)
-// instead of delivering across the hole.
+// ring's tail is answered from the oldest retained event, a visible jump in
+// the id: sequence. The SDK watches over GET /v1/stream (internal/wire),
+// which serves the same feed and reports that hole as a gap frame, surfaced
+// as a typed error (client.ResumeGapError) instead of delivering across it.
 package attest
 
 import (

@@ -1,11 +1,9 @@
 package daemon
 
 import (
-	"bytes"
 	"context"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,8 +14,7 @@ import (
 
 // flakyFront is a fault-injecting front for the daemon's handler: every
 // second unary request is severed without an answer, and the first event
-// stream — binary or SSE, whichever the client negotiates — is cut after two
-// event frames. The SDK behind it must see exactly the same fleet state a
+// stream is cut after two event frames. The SDK behind it must see exactly the same fleet state a
 // direct client would.
 type flakyFront struct {
 	inner http.Handler
@@ -29,7 +26,7 @@ type flakyFront struct {
 }
 
 func (f *flakyFront) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if strings.HasSuffix(r.URL.Path, "/events") || r.URL.Path == "/v1/stream" {
+	if r.URL.Path == "/v1/stream" {
 		f.mu.Lock()
 		cut := f.streamsCut == 0
 		if cut {
@@ -37,11 +34,7 @@ func (f *flakyFront) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		f.mu.Unlock()
 		if cut {
-			if r.URL.Path == "/v1/stream" {
-				w = &binaryCuttingWriter{ResponseWriter: w, eventsLeft: 2}
-			} else {
-				w = &cuttingWriter{ResponseWriter: w, framesLeft: 2}
-			}
+			w = &binaryCuttingWriter{ResponseWriter: w, eventsLeft: 2}
 		}
 		f.inner.ServeHTTP(w, r)
 		return
@@ -59,32 +52,9 @@ func (f *flakyFront) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	f.inner.ServeHTTP(w, r)
 }
 
-// cuttingWriter lets framesLeft SSE frames through, then severs the
-// connection mid-stream.
-type cuttingWriter struct {
-	http.ResponseWriter
-	framesLeft int
-}
-
-func (c *cuttingWriter) Write(p []byte) (int, error) {
-	if bytes.HasPrefix(p, []byte("id: ")) {
-		if c.framesLeft == 0 {
-			panic(http.ErrAbortHandler)
-		}
-		c.framesLeft--
-	}
-	return c.ResponseWriter.Write(p)
-}
-
-func (c *cuttingWriter) Flush() {
-	if fl, ok := c.ResponseWriter.(http.Flusher); ok {
-		fl.Flush()
-	}
-}
-
-// binaryCuttingWriter is the wire-frame analogue: it lets eventsLeft event
-// frames through (hello/heartbeat/control frames pass freely), then severs
-// the connection before the next event-bearing write.
+// binaryCuttingWriter lets eventsLeft event frames through (hello,
+// heartbeat and control frames pass freely), then severs the connection
+// before the next event-bearing write.
 type binaryCuttingWriter struct {
 	http.ResponseWriter
 	eventsLeft int

@@ -38,8 +38,8 @@ import (
 const alertRingCap = 128
 
 // streamQueueCap bounds each event-stream subscriber's queue; a subscriber
-// that cannot keep up loses events (counted on the bus) rather than stalling
-// the fleet.
+// that cannot keep up has periodic events coalesced and then loses events
+// (counted in the divot_stream_* metrics) rather than stalling the fleet.
 const streamQueueCap = 256
 
 // defaultHeartbeat is the idle keep-alive period of the event stream.
@@ -65,9 +65,9 @@ type Daemon struct {
 	cacheMiss  *telemetry.CounterVec
 	storeErrs  *telemetry.CounterVec
 
-	// Stream-subscriber accounting, shared by the binary /v1/stream and the
-	// legacy SSE per-link feeds: live subscriber count, and how the bounded
-	// per-subscriber queues degraded under overload.
+	// Stream-subscriber accounting of serveFeed, the core behind both the
+	// binary /v1/stream and the per-link SSE feed: live subscriber count, and
+	// how the bounded per-subscriber queues degraded under overload.
 	streamSubs      *telemetry.Gauge
 	streamCoalesced *telemetry.Counter
 	streamDropped   *telemetry.Counter
@@ -343,7 +343,7 @@ func New(spec Spec, opts Options) (*Daemon, error) {
 	d.storeErrs = d.reg.Counter("divot_store_errors_total",
 		"Durable-state operations that failed (by operation); the daemon keeps running.", "op")
 	d.streamSubs = d.reg.Gauge("divot_stream_subscribers",
-		"Live event-stream subscribers (binary /v1/stream and legacy SSE).").With()
+		"Live event-stream subscribers (binary /v1/stream and per-link SSE).").With()
 	d.streamCoalesced = d.reg.Counter("divot_stream_coalesced_total",
 		"Periodic events folded into a fresher pending one on a full subscriber queue.").With()
 	d.streamDropped = d.reg.Counter("divot_stream_dropped_total",

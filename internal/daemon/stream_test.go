@@ -4,15 +4,18 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"divot"
 	"divot/internal/attest"
+	"divot/internal/telemetry"
 )
 
 // newTestDaemon builds a calibrated daemon without running schedulers, so
@@ -230,21 +233,30 @@ func jsonNumber(n uint64) string {
 // stream end.
 func (c *sseClient) next(t *testing.T) (attest.Event, bool) {
 	t.Helper()
+	ev, ok, err := readSSE(c.sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ev, ok
+}
+
+// readSSE parses the next event block off sc, skipping comment blocks (": hb"
+// heartbeats, ": shutdown"). ok is false at stream end.
+func readSSE(sc *bufio.Scanner) (ev attest.Event, ok bool, err error) {
 	var data []byte
-	for c.sc.Scan() {
-		line := c.sc.Text()
+	for sc.Scan() {
+		line := sc.Text()
 		switch {
 		case strings.HasPrefix(line, "data: "):
 			data = []byte(strings.TrimPrefix(line, "data: "))
 		case line == "" && data != nil:
-			var ev attest.Event
 			if err := json.Unmarshal(data, &ev); err != nil {
-				t.Fatalf("bad SSE data %s: %v", data, err)
+				return ev, false, fmt.Errorf("bad SSE data %s: %v", data, err)
 			}
-			return ev, true
+			return ev, true, nil
 		}
 	}
-	return attest.Event{}, false
+	return ev, false, nil
 }
 
 func (c *sseClient) close() { c.resp.Body.Close() }
@@ -327,5 +339,141 @@ func TestEventsStreamReplayResumeAndShutdown(t *testing.T) {
 	if perr := attest.ParseBody(raw, nil); perr == nil ||
 		!strings.Contains(perr.Error(), attest.CodeBadRequest) {
 		t.Errorf("bad after error = %v", perr)
+	}
+}
+
+// stallWriter passes empty writes through and blocks the first write that
+// carries bytes until release closes: a subscriber that stopped reading,
+// without depending on how much the kernel's socket buffers absorb.
+type stallWriter struct {
+	http.ResponseWriter
+	once    sync.Once
+	stalled chan<- struct{}
+	release <-chan struct{}
+}
+
+func (s *stallWriter) Write(p []byte) (int, error) {
+	if len(p) == 0 {
+		return s.ResponseWriter.Write(p)
+	}
+	s.once.Do(func() { close(s.stalled) })
+	<-s.release
+	return 0, io.ErrClosedPipe
+}
+
+func (s *stallWriter) Flush() { s.ResponseWriter.(http.Flusher).Flush() }
+
+// TestSSEDeliveryBoundedAndCounted: an SSE subscriber rides the same bounded
+// coalescing queue as a binary one, so its overload degrades into the
+// divot_stream_* counters instead of going unreported, and it is counted in
+// divot_stream_subscribers while connected.
+func TestSSEDeliveryBoundedAndCounted(t *testing.T) {
+	d := newTestDaemon(t, `{
+		"seed": 35, "listen": "127.0.0.1:0",
+		"buses": [{"id": "a"}]
+	}`)
+	d.heartbeat = time.Hour // no keep-alive write may race the stall
+	ls := d.byID["a"]
+	stalled, release := make(chan struct{}), make(chan struct{})
+	h := d.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(&stallWriter{ResponseWriter: w, stalled: stalled, release: release}, r)
+	}))
+	defer srv.Close()
+	unstall := sync.OnceFunc(func() { close(release) })
+	defer unstall() // before srv.Close, which waits for the parked handler
+
+	c := openStream(t, srv.URL, "a", 0)
+	defer c.close()
+	if got := d.streamSubs.Value(); got != 1 {
+		t.Fatalf("divot_stream_subscribers = %v with one SSE subscriber, want 1", got)
+	}
+	// The first event parks the handler in a write that does not return;
+	// everything published after it must go through the bounded queue.
+	ls.record(telemetry.Event{Kind: telemetry.EventAlert, Link: "a", Round: 1})
+	select {
+	case <-stalled:
+	case <-time.After(5 * time.Second):
+		t.Fatal("SSE handler never wrote the live event")
+	}
+	for i := 0; i < 4*streamQueueCap; i++ {
+		k := telemetry.EventHealth
+		if i%2 == 1 {
+			k = telemetry.EventAlert
+		}
+		ls.record(telemetry.Event{Kind: k, Link: "a", Round: uint64(i + 2)})
+	}
+	coalesced, dropped := d.streamCoalesced.Value(), d.streamDropped.Value()
+	if coalesced == 0 || dropped == 0 {
+		t.Fatalf("stalled SSE subscriber: coalesced=%d dropped=%d, want both > 0", coalesced, dropped)
+	}
+	if got := uint64(4*streamQueueCap) - coalesced - dropped; got > streamQueueCap {
+		t.Fatalf("%d events queued for one subscriber, want at most %d", got, streamQueueCap)
+	}
+
+	unstall()
+	c.close()
+	deadline := time.Now().Add(5 * time.Second)
+	for d.streamSubs.Value() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("divot_stream_subscribers = %v after disconnect, want 0", d.streamSubs.Value())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// renderSSE is the SSE event block as GET /v1/links/{id}/events has always
+// written it; the shared subscription core must keep producing these bytes.
+func renderSSE(evs ...attest.Event) string {
+	var b strings.Builder
+	for _, ev := range evs {
+		raw, _ := json.Marshal(ev)
+		fmt.Fprintf(&b, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Kind, raw)
+	}
+	return b.String()
+}
+
+// TestSSEFrameBytesUnchanged reads an unloaded SSE subscriber's raw bytes —
+// replay, live delivery, shutdown — and compares them with renderSSE.
+func TestSSEFrameBytesUnchanged(t *testing.T) {
+	d := newTestDaemon(t, `{
+		"seed": 36, "listen": "127.0.0.1:0",
+		"buses": [{"id": "a"}]
+	}`)
+	d.heartbeat = time.Hour
+	ls := d.byID["a"]
+	ls.record(telemetry.Event{Kind: telemetry.EventAlert, Link: "a", Side: "cpu", Round: 1, Score: 0.41, To: "interposer"})
+	ls.record(telemetry.Event{Kind: telemetry.EventGate, Link: "a", Side: "module", Round: 1, From: "open", To: "closed"})
+	ls.record(telemetry.Event{Kind: telemetry.EventFault, Link: "a", Round: 2, Detail: "two\nlines, \"quoted\" <tag>"})
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+
+	resp, err := http.Get(srv.URL + "/v1/links/a/events?after=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
+		t.Fatalf("Content-Type = %q", ct)
+	}
+	expect := func(what, want string) {
+		t.Helper()
+		got := make([]byte, len(want))
+		if _, err := io.ReadFull(resp.Body, got); err != nil {
+			t.Fatalf("%s: reading %d bytes: %v", what, len(want), err)
+		}
+		if string(got) != want {
+			t.Fatalf("%s bytes differ:\n got: %q\nwant: %q", what, got, want)
+		}
+	}
+	expect("replay", renderSSE(ls.snapshotAlerts()[1:]...))
+
+	ls.record(telemetry.Event{Kind: telemetry.EventHealth, Link: "a", Round: 3, From: "ok", To: "degraded"})
+	expect("live", renderSSE(ls.snapshotAlerts()[3:]...))
+
+	close(d.stop)
+	rest, _ := io.ReadAll(resp.Body)
+	if string(rest) != ": shutdown\n\n" {
+		t.Fatalf("shutdown bytes = %q, want %q", rest, ": shutdown\n\n")
 	}
 }

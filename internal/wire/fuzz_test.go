@@ -2,7 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"math"
+	"net/http"
+	"net/url"
 	"reflect"
 	"testing"
 
@@ -64,6 +68,45 @@ func FuzzDecodeFrame(f *testing.F) {
 		rtyp, rpayload, rerr := NewReader(bytes.NewReader(data[:n])).Next()
 		if rerr != nil || rtyp != typ || !bytes.Equal(rpayload, payload) {
 			t.Fatalf("Reader disagrees with DecodeFrame: %v %v", rtyp, rerr)
+		}
+	})
+}
+
+// FuzzParseSubscribeRequest is the CI fuzz target for the GET /v1/stream
+// handshake, fed an arbitrary query string and body. ParseSubscribeRequest
+// must never panic, and must return either an error or a Subscribe whose JSON
+// re-parses to the same value: what the server acts on is exactly what a
+// client could have sent as a JSON body.
+func FuzzParseSubscribeRequest(f *testing.F) {
+	f.Add("links=a,b&kinds=alert&after=a:3,b:0", []byte(nil))
+	f.Add("links=a&links=b,,c&after=x:y:9", []byte(nil))
+	f.Add("after=:3", []byte(nil))
+	f.Add("links=%ff%fe", []byte(nil))
+	f.Add("", []byte(`{"links":["dimm0"],"kinds":["alert","gate"],"after":{"dimm0":41}}`))
+	f.Add("links=ignored", []byte(`{"links":[],"after":{}}`))
+	f.Add("", []byte(`{"links":["a"]} trailing`))
+	f.Add("", []byte(`null`))
+
+	f.Fuzz(func(t *testing.T, query string, body []byte) {
+		r := &http.Request{
+			Method: http.MethodGet,
+			URL:    &url.URL{Path: "/v1/stream", RawQuery: query},
+			Body:   io.NopCloser(bytes.NewReader(body)),
+		}
+		sub, err := ParseSubscribeRequest(r)
+		if err != nil {
+			return
+		}
+		raw, err := json.Marshal(sub)
+		if err != nil {
+			t.Fatalf("accepted handshake does not encode: %+v: %v", sub, err)
+		}
+		var again Subscribe
+		if err := json.Unmarshal(raw, &again); err != nil {
+			t.Fatalf("accepted handshake's JSON %s does not re-parse: %v", raw, err)
+		}
+		if !reflect.DeepEqual(sub, again) {
+			t.Fatalf("handshake %#v re-parses from %s as %#v", sub, raw, again)
 		}
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Subscribe is the GET /v1/stream handshake: which links to watch, which
@@ -15,10 +16,10 @@ import (
 // present in After with a non-zero cursor is a continuity claim, answered
 // with a Gap frame when the server cannot honor it.
 //
-// The SDK sends it as the request's JSON body. For hand-driven clients
-// (curl, the smoke script) the same fields travel as query parameters —
-// links and kinds comma-separated, after as repeated link:seq pairs — and a
-// JSON body, when present, wins wholesale over the query form.
+// It travels as query parameters — links and kinds comma-separated, after
+// as repeated link:seq pairs; the SDK (client.streamURL), curl and the smoke
+// script all use this form — or as a JSON body, which, when present, wins
+// wholesale over the query form.
 type Subscribe struct {
 	Links []string          `json:"links,omitempty"`
 	Kinds []string          `json:"kinds,omitempty"`
@@ -55,7 +56,9 @@ const maxSubscribeBody = 1 << 20
 // ParseSubscribeRequest reads a stream subscription from an HTTP request:
 // query parameters first, then a JSON body (which, when non-empty, replaces
 // the query form entirely). Malformed input is an error the caller should
-// answer as bad_request.
+// answer as bad_request. Both forms yield the same value for the same
+// request: empty lists and maps come back nil, and invalid UTF-8 in a query
+// value becomes U+FFFD per bad byte, as encoding/json decodes a body.
 func ParseSubscribeRequest(r *http.Request) (Subscribe, error) {
 	var sub Subscribe
 	q := r.URL.Query()
@@ -84,6 +87,15 @@ func ParseSubscribeRequest(r *http.Request) (Subscribe, error) {
 		if err := json.Unmarshal(body, &sub); err != nil {
 			return sub, fmt.Errorf("parsing subscribe body: %v", err)
 		}
+		if len(sub.Links) == 0 {
+			sub.Links = nil
+		}
+		if len(sub.Kinds) == 0 {
+			sub.Kinds = nil
+		}
+		if len(sub.After) == 0 {
+			sub.After = nil
+		}
 	}
 	return sub, nil
 }
@@ -93,6 +105,9 @@ func ParseSubscribeRequest(r *http.Request) (Subscribe, error) {
 func splitList(values []string) []string {
 	var out []string
 	for _, v := range values {
+		if !utf8.ValidString(v) {
+			v = string([]rune(v)) // each invalid byte becomes U+FFFD
+		}
 		for _, part := range strings.Split(v, ",") {
 			if part = strings.TrimSpace(part); part != "" {
 				out = append(out, part)

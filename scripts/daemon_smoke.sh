@@ -9,7 +9,7 @@
 # kills one mid-fleet, and requires honest partial-failure reporting followed
 # by a re-balanced fleet-wide attest; phase 5 SIGKILLs a stateful daemon
 # mid-flight and requires a calibration-free warm restart with its history
-# and audit trail intact; phase 6 attaches binary multi-link and legacy SSE
+# and audit trail intact; phase 6 attaches binary multi-link and per-link SSE
 # watchers to a 1000-bus fleet, restarts the daemon both ways (SIGTERM and
 # SIGKILL), and requires resume to be exact after the graceful stop and an
 # honest, typed resume-gap — never a silent skip — after the crash.
@@ -401,8 +401,8 @@ echo "ok: crash-restart durability"
 # directory warm-restores the 1000 clean buses in seconds; two attacked buses
 # on a fast monitoring interval provide a continuous event feed (a tampered
 # round emits an alert every round). A binary multi-link watcher (divotctl
-# negotiates GET /v1/stream) and a legacy SSE watcher (curl) both follow the
-# feed; a graceful restart must resume a cursor exactly, and a SIGKILL must
+# on GET /v1/stream) and a per-link SSE watcher (curl) both follow the
+# feed, served by one subscription core; a graceful restart must resume a cursor exactly, and a SIGKILL must
 # surface as a typed resume gap — the stream protocol never skips silently.
 cat > "$workdir/fleet1000s.json" <<'EOF'
 {
@@ -453,12 +453,12 @@ for attempt in 1 2 3; do
 done
 echo "ok: binary multi-link watch carries both victims"
 
-# Legacy SSE watcher on the same daemon: the old route still serves.
+# Per-link SSE watcher on the same daemon: the text route still serves.
 timeout 30 bash -c \
   "curl -sN http://127.0.0.1:9726/v1/links/victimA/events | grep -m1 '^data:'" \
   > "$workdir/sse6.out"
 test -s "$workdir/sse6.out"
-echo "ok: legacy SSE watch still streams"
+echo "ok: per-link SSE watch still streams"
 
 # Graceful restart: a watcher follows victimB to the shutdown frame, so its
 # last seq IS the persisted stream cursor; after the restart, resuming past
@@ -517,8 +517,8 @@ fi
 grep -q 'resume gap' "$workdir/gap6.err"
 echo "ok: crash resume surfaced a typed gap: $(head -1 "$workdir/gap6.err")"
 
-# The legacy SSE route agrees: resuming the stale cursor jumps visibly (the
-# SDK turns exactly this jump into ResumeGapError) instead of renumbering.
+# The SSE route agrees: resuming the stale cursor jumps visibly (SSE has no
+# gap frame; the jump is its gap signal) instead of renumbering.
 timeout 30 bash -c \
   "curl -sN 'http://127.0.0.1:9726/v1/links/victimA/events?after=$seqA' | grep -m1 '^data:'" \
   > "$workdir/sse6b.out"
