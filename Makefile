@@ -1,5 +1,5 @@
 GO ?= go
-PR ?= 10
+PR ?= 34
 
 # MONITOR_ALLOC_BUDGET is the allocs/op ceiling for the steady-state
 # monitoring round benchmark. A capture runs on one goroutine, so the round
@@ -20,6 +20,13 @@ CALIB_ALLOC_BUDGET ?= 20
 # decoded once each by the daemons, the herd and the harness; the budget is
 # the measured 3816 plus runtime noise.
 HERD_ALLOC_BUDGET ?= 3820
+
+# FLEET_ALLOC_BUDGET is the allocs/op ceiling for one warm fleet pass of the
+# daemon round path over 100 light-instrument buses
+# (BenchmarkFleetScheduler/links=100: attack check, engine round, reactor,
+# metrics, attestation-cache refresh). The budget is the measured 3138 plus
+# runtime noise; most of it is metric label-key strings (ROADMAP item 3).
+FLEET_ALLOC_BUDGET ?= 3140
 
 # BENCH_MAX_REGRESS is the percentage any guarded benchmark's ns/B/allocs
 # may grow over the recorded BENCH_$(PR).json snapshot before bench-guard
@@ -62,7 +69,8 @@ bench:
 ## ceiling. The snapshot was recorded at one proc, so both targets pin
 ## -cpu 1 to keep ns/op comparable with it. A spot check captures on one
 ## goroutine like a monitoring round, so it gets the round's ≤2 allocs/op.
-## A warm federated attest through the herd is held to HERD_ALLOC_BUDGET
+## A warm federated attest through the herd is held to HERD_ALLOC_BUDGET,
+## and a warm 100-bus daemon fleet pass to FLEET_ALLOC_BUDGET
 bench-guard:
 	$(GO) test . -run XXX -bench 'MonitorRound$$|Calibrate$$|ReflectionSynthesis$$|IIPMeasurement$$|Authenticate$$' -benchtime 20x -benchmem -cpu 1 \
 		| $(GO) run ./cmd/benchsnap \
@@ -73,6 +81,9 @@ bench-guard:
 	$(GO) test ./cmd/divotherd -run XXX -bench 'FederatedAttest/daemons=4/buses=1000$$' -benchtime 20x -benchmem -cpu 1 \
 		| $(GO) run ./cmd/benchsnap \
 			-max-allocs 'FederatedAttest/daemons=4/buses=1000=$(HERD_ALLOC_BUDGET)' > /dev/null
+	$(GO) test ./internal/daemon -run XXX -bench 'FleetScheduler/links=100$$' -benchtime 20x -benchmem -cpu 1 \
+		| $(GO) run ./cmd/benchsnap \
+			-max-allocs 'FleetScheduler/links=100=$(FLEET_ALLOC_BUDGET)' > /dev/null
 
 ## bench-snapshot: record the hot-path micro-benchmarks plus the full
 ## federated-attest sweep (1/4/16 daemons × 1k/10k/100k buses — the big rows

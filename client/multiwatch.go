@@ -36,17 +36,22 @@ type MultiWatch struct {
 // when the subscription ends.
 func (mw *MultiWatch) Events() <-chan Event { return mw.ch }
 
-// LastSeq returns the sequence number of link id's newest delivered event —
-// the per-link resume cursor for a future WatchMulti (via
-// WatchOptions.AfterByLink). Zero for a link with no deliveries yet.
+// LastSeq returns the sequence number of link id's newest event handed to
+// the Events() buffer; zero for a link with no deliveries yet. It can run
+// ahead of the consumer by a full buffer (WatchOptions.Buffer events) plus
+// one, so it is not a durable cursor: the per-link resume point for a
+// future WatchMulti (via WatchOptions.AfterByLink) is the Seq of the last
+// event of that link the consumer processed.
 func (mw *MultiWatch) LastSeq(id string) uint64 {
 	mw.mu.Lock()
 	defer mw.mu.Unlock()
 	return mw.cursors[id]
 }
 
-// LastSeqs copies every link's resume cursor — the durable state a consumer
-// persists to continue a multi-link subscription in a new process.
+// LastSeqs copies every link's LastSeq. Like LastSeq it can run ahead of the
+// consumer by a full buffer plus one event; a consumer that persists
+// per-link cursors to continue in a new process should record each event's
+// Seq once it has processed it.
 func (mw *MultiWatch) LastSeqs() map[string]uint64 {
 	mw.mu.Lock()
 	defer mw.mu.Unlock()

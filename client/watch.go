@@ -87,9 +87,13 @@ func (e *ResumeGapError) Error() string {
 //     ends with *ResumeGapError rather than skipping the hole — the caller
 //     chooses how to re-sync (see ResumeGapError).
 //
-// LastSeq after every delivery is the durable resume cursor: persisting it
-// lets a future Watch (even in a new process) continue with
-// WatchOptions.After and keep the same guarantee.
+// The durable resume cursor is the Seq of the last event the consumer has
+// processed: persisting that lets a future Watch (even in a new process)
+// continue with WatchOptions.After and keep the same guarantee. LastSeq is
+// not that cursor. It counts an event once it enters the Events() buffer,
+// so it can run ahead of the consumer by a full buffer (WatchOptions.Buffer
+// events) plus the event waiting to enter it; a consumer that persists it
+// and then crashes skips the events still buffered.
 type Watch struct {
 	mw *MultiWatch
 	id string
@@ -98,8 +102,10 @@ type Watch struct {
 // Events is the delivery channel. Closed when the watch ends.
 func (w *Watch) Events() <-chan Event { return w.mw.Events() }
 
-// LastSeq returns the sequence number of the newest delivered event (the
-// resume point for a future Watch).
+// LastSeq returns the sequence number of the newest event handed to the
+// Events() buffer. It can run ahead of the consumer by a full buffer plus
+// one event; the durable resume point for a future Watch is the Seq of the
+// last event the consumer processed (see Watch).
 func (w *Watch) LastSeq() uint64 { return w.mw.LastSeq(w.id) }
 
 // Close tears the watch down. Events() closes shortly after; safe to call

@@ -22,15 +22,21 @@ const monitorAllocBudget = 2
 // monitoring hot path: after calibration and a warmup round (arena buffers
 // sized, inverters promoted, score window filling), a MonitorOnce round
 // must stay within monitorAllocBudget allocations, sequential and at the
-// default Parallelism.
+// default Parallelism — with clean endpoints and with both endpoints
+// running a dead-bin mask, whose scoring mask is dilated once, when it
+// changes, not per round.
 func TestMonitorOnceAllocationBudget(t *testing.T) {
-	forEachParallelism(t, func(t *testing.T, cfg Config) {
+	forEachMaskedParallelism(t, func(t *testing.T, cfg Config, masked bool) {
 		l, err := NewLink("alloc0", cfg, txline.DefaultConfig(), rng.New(99))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := l.Calibrate(); err != nil {
 			t.Fatal(err)
+		}
+		if masked {
+			maskDeadBins(l, l.CPU, 60, 200)
+			maskDeadBins(l, l.Module, 120)
 		}
 		for i := 0; i < 3; i++ { // warm arenas, workspaces, and the score window
 			if _, err := l.MonitorOnce(); err != nil {
@@ -70,15 +76,19 @@ func forEachParallelism(t *testing.T, body func(t *testing.T, cfg Config)) {
 // measurement behind every uncached attestation, at zero allocations: after
 // calibration and a warmup check, a clean SpotCheck reuses the CPU
 // endpoint's arena and workspace and returns a nil alert slice, sequential
-// and at the default Parallelism.
+// and at the default Parallelism — also when the CPU endpoint scores around
+// a dead-bin mask.
 func TestSpotCheckAllocationBudget(t *testing.T) {
-	forEachParallelism(t, func(t *testing.T, cfg Config) {
+	forEachMaskedParallelism(t, func(t *testing.T, cfg Config, masked bool) {
 		l, err := NewLink("alloc0", cfg, txline.DefaultConfig(), rng.New(99))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := l.Calibrate(); err != nil {
 			t.Fatal(err)
+		}
+		if masked {
+			maskDeadBins(l, l.CPU, 60, 200)
 		}
 		if _, err := l.SpotCheck(); err != nil { // warm the arena and workspace
 			t.Fatal(err)
@@ -96,6 +106,30 @@ func TestSpotCheckAllocationBudget(t *testing.T) {
 			t.Fatalf("SpotCheck allocates %v times per check, want 0", allocs)
 		}
 	})
+}
+
+// forEachMaskedParallelism runs body under forEachParallelism's two arms
+// with clean endpoints, then under both again as "masked" with masked ones.
+func forEachMaskedParallelism(t *testing.T, body func(t *testing.T, cfg Config, masked bool)) {
+	forEachParallelism(t, func(t *testing.T, cfg Config) { body(t, cfg, false) })
+	t.Run("masked", func(t *testing.T) {
+		forEachParallelism(t, func(t *testing.T, cfg Config) { body(t, cfg, true) })
+	})
+}
+
+// maskDeadBins masks the given bins at e the way monitoring does: it
+// reports them rail-saturated on DeadBinStreak consecutive measurements.
+func maskDeadBins(l *Link, e *Endpoint, bins ...int) {
+	sat := make([]bool, e.bins)
+	for _, b := range bins {
+		sat[b] = true
+	}
+	for i := 0; i < l.cfg.Robust.DeadBinStreak; i++ {
+		e.trackSaturation(sat, l.cfg.Robust)
+	}
+	if e.mask.Count() != len(bins) {
+		panic(fmt.Sprintf("masked %d bins, want %d", e.mask.Count(), len(bins)))
+	}
 }
 
 // allocsPerRun is testing.AllocsPerRun without its GOMAXPROCS(1) pin, which

@@ -84,10 +84,13 @@ type Endpoint struct {
 
 	// Robustness state (see robust.go). bins is the instrument's ETS bin
 	// count; satStreak counts consecutive saturated sightings per bin; mask
-	// is the persistent dead-bin mask matching renormalizes around.
+	// is the persistent dead-bin mask matching renormalizes around, and
+	// scoring is mask dilated by the link's MaskGuard — recomputed by
+	// setMask whenever mask changes, never per round.
 	bins          int
 	satStreak     []int
 	mask          fingerprint.BinMask
+	scoring       fingerprint.BinMask
 	window        []float64 // rolling accepted-score window, oldest first
 	lastScore     float64
 	lastPeakErr   float64 // E_xy peak of the latest monitored round
@@ -382,7 +385,7 @@ func (e *Endpoint) calibrate(cfg Config, env txline.Environment) error {
 	for i := 0; i < cfg.EnrollMeasurements; i++ {
 		e.avg.Add(e.refl.MeasureInto(e.arena, e.observed, env).IIP)
 	}
-	f, err := e.pipeline.FromAverage(&e.avg)
+	f, err := e.pipeline.FromAverage(&e.avg, nil) // no bin is masked yet
 	if err != nil {
 		return fmt.Errorf("core: calibrating %s endpoint: %w", e.Side, err)
 	}
@@ -496,11 +499,10 @@ func (l *Link) SpotCheck() ([]Alert, error) {
 	var raised []Alert
 	meas := e.refl.MeasureInto(e.arena, e.observed, l.Env)
 	f := e.pipeline.FromWaveformMaskedWith(&e.ws, meas.IIP, e.mask)
-	scoring := e.mask.Dilate(l.cfg.Robust.MaskGuard)
-	if auth := e.matcher.AuthenticateMasked(f, enrolled, scoring); !auth.Accepted {
+	if auth := e.matcher.AuthenticateMasked(f, enrolled, e.scoring); !auth.Accepted {
 		raised = append(raised, Alert{Side: e.Side, Kind: AlertAuthFailure, Score: auth.Score})
 	}
-	if v := e.detector.CheckMaskedWith(&e.ws, f, enrolled, scoring); v.Tampered {
+	if v := e.detector.CheckMaskedWith(&e.ws, f, enrolled, e.scoring); v.Tampered {
 		raised = append(raised, Alert{
 			Side: e.Side, Kind: AlertTamper,
 			PeakError: v.PeakError, Position: v.Position,

@@ -72,8 +72,7 @@ func (e *Endpoint) health(rob Robustness) EndpointHealth {
 		LastScore:      e.lastScore,
 	}
 	h.DegradedResolution = h.MaskedBins > 0
-	scoring := e.mask.Dilate(rob.MaskGuard)
-	live := e.bins - scoring.Count()
+	live := e.bins - e.scoring.Count()
 	switch {
 	case !e.authenticated,
 		rob.MaxMaskedFraction > 0 && h.MaskedFraction > rob.MaxMaskedFraction,

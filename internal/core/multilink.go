@@ -133,11 +133,10 @@ func (m *MultiLink) MonitorOnce() ([]Alert, error) {
 			meas := e.refl.MeasureInto(e.arena, e.observed, l.Env)
 			e.trackSaturation(meas.Saturated, l.cfg.Robust)
 			f := e.pipeline.FromWaveformMaskedWith(&e.ws, meas.IIP, e.mask)
-			scoring := e.mask.Dilate(l.cfg.Robust.MaskGuard)
-			scores[w] = fingerprint.MaskedSimilarity(f, enrolled, scoring)
+			scores[w] = fingerprint.MaskedSimilarity(f, enrolled, e.scoring)
 			e.lastScore = scores[w]
 			e.authenticated = scores[w] >= m.cfg.AuthThreshold
-			if v := e.detector.CheckMaskedWith(&e.ws, f, enrolled, scoring); v.Tampered {
+			if v := e.detector.CheckMaskedWith(&e.ws, f, enrolled, e.scoring); v.Tampered {
 				tampers[w] = &v
 			}
 		})

@@ -24,7 +24,6 @@ import (
 	"fmt"
 
 	"divot/internal/fingerprint"
-	"divot/internal/signal"
 	"divot/internal/telemetry"
 )
 
@@ -114,7 +113,7 @@ func DefaultRobustness() Robustness {
 func (e *Endpoint) resetRobustState(cfg Config) {
 	e.bins = cfg.ITDR.Bins()
 	e.satStreak = make([]int, e.bins)
-	e.mask = nil
+	e.setMask(nil, cfg.Robust.MaskGuard)
 	e.window = nil
 	e.lastScore = 0
 	e.lastPeakErr = 0
@@ -126,6 +125,16 @@ func (e *Endpoint) resetRobustState(cfg Config) {
 	e.sinceReenroll = 0
 	e.autoThreshold = cfg.TamperThreshold == 0
 	e.lastHealth = HealthOK
+}
+
+// setMask installs the endpoint's dead-bin mask and the scoring mask
+// derived from it: mask widened by guard bins on each side (BinMask.Dilate).
+// Every change to the mask goes through here, so the scoring paths —
+// observe, SpotCheck, the multi-link round, health and re-enrollment — read
+// a precomputed mask instead of dilating (and allocating) one per round.
+func (e *Endpoint) setMask(m fingerprint.BinMask, guard int) {
+	e.mask = m
+	e.scoring = m.Dilate(guard)
 }
 
 // trackSaturation advances the per-bin saturation streaks and promotes bins
@@ -140,18 +149,23 @@ func (e *Endpoint) trackSaturation(sat []bool, rob Robustness) {
 	if len(e.satStreak) != len(sat) {
 		e.satStreak = make([]int, len(sat))
 	}
+	mask, grew := e.mask, false
 	for i, s := range sat {
 		if !s {
 			e.satStreak[i] = 0
 			continue
 		}
 		e.satStreak[i]++
-		if e.satStreak[i] >= rob.DeadBinStreak && (e.mask == nil || !e.mask[i]) {
-			if e.mask == nil {
-				e.mask = fingerprint.NewBinMask(len(sat))
+		if e.satStreak[i] >= rob.DeadBinStreak && (mask == nil || !mask[i]) {
+			if mask == nil {
+				mask = fingerprint.NewBinMask(len(sat))
 			}
-			e.mask[i] = true
+			mask[i] = true
+			grew = true
 		}
+	}
+	if grew {
+		e.setMask(mask, rob.MaskGuard)
 	}
 }
 
@@ -172,12 +186,11 @@ func (l *Link) observe(e *Endpoint, enrolled fingerprint.IIP) roundView {
 	meas := e.refl.MeasureInto(e.arena, e.observed, l.Env)
 	e.trackSaturation(meas.Saturated, rob)
 	f := e.pipeline.FromWaveformMaskedWith(&e.ws, meas.IIP, e.mask)
-	scoring := e.mask.Dilate(rob.MaskGuard)
 	v := roundView{
-		auth: e.matcher.AuthenticateMasked(f, enrolled, scoring),
-		tv:   e.detector.CheckMaskedWith(&e.ws, f, enrolled, scoring),
+		auth: e.matcher.AuthenticateMasked(f, enrolled, e.scoring),
+		tv:   e.detector.CheckMaskedWith(&e.ws, f, enrolled, e.scoring),
 	}
-	if live := e.bins - scoring.Count(); rob.MinLiveBins > 0 && live < rob.MinLiveBins {
+	if live := e.bins - e.scoring.Count(); rob.MinLiveBins > 0 && live < rob.MinLiveBins {
 		v.lowRes = true
 	}
 	return v
@@ -357,16 +370,18 @@ func (l *Link) maybeReenroll(e *Endpoint, v roundView) error {
 // reenroll refreshes the endpoint's enrolled fingerprint from fresh averaged
 // measurements (repaired over the persistent mask) and re-derives the auto
 // tamper floor, exactly like calibration but without touching the other
-// endpoint or the calibrated flag.
+// endpoint or the calibrated flag. Like calibration it streams every capture
+// through the endpoint's arena, averager, workspace and error buffer; only
+// the enrolled fingerprint owns its memory.
 func (l *Link) reenroll(e *Endpoint) error {
 	rob := l.cfg.Robust
-	ws := make([]*signal.Waveform, l.cfg.EnrollMeasurements)
-	for i := range ws {
-		m := e.refl.Measure(e.observed, l.Env)
+	e.avg.Reset()
+	for i := 0; i < l.cfg.EnrollMeasurements; i++ {
+		m := e.refl.MeasureInto(e.arena, e.observed, l.Env)
 		e.trackSaturation(m.Saturated, rob)
-		ws[i] = m.IIP
+		e.avg.Add(m.IIP)
 	}
-	f, err := e.pipeline.AverageMasked(ws, e.mask)
+	f, err := e.pipeline.FromAverage(&e.avg, e.mask)
 	if err != nil {
 		return fmt.Errorf("re-enrolling %s endpoint of link %q: %w", e.Side, l.ID, err)
 	}
@@ -374,14 +389,17 @@ func (l *Link) reenroll(e *Endpoint) error {
 		return fmt.Errorf("re-enrolling %s endpoint of link %q: %w", e.Side, l.ID, err)
 	}
 	if e.autoThreshold {
-		scoring := e.mask.Dilate(rob.MaskGuard)
+		// The probes score over the mask as dilated after enrollment, as a
+		// Dilate taken here would: a bin masked mid-probe makes setMask
+		// replace the widened scoring mask, not rewrite this one.
+		scoring := e.scoring
 		var floor float64
 		for i := 0; i < tamperFloorProbes; i++ {
-			m := e.refl.Measure(e.observed, l.Env)
+			m := e.refl.MeasureInto(e.arena, e.observed, l.Env)
 			e.trackSaturation(m.Saturated, rob)
-			fm := e.pipeline.FromWaveformMasked(m.IIP, e.mask)
-			ef := fingerprint.MaskedErrorFunction(fm, f, scoring)
-			if v, _, _ := fingerprint.PeakError(ef); v > floor {
+			fm := e.pipeline.FromWaveformMaskedWith(&e.ws, m.IIP, e.mask)
+			e.errBuf = fingerprint.MaskedErrorFunctionInto(e.errBuf, fm, f, scoring)
+			if v, _, _ := fingerprint.PeakError(e.errBuf); v > floor {
 				floor = v
 			}
 		}

@@ -199,13 +199,14 @@ func (e *Endpoint) restore(s EndpointSnapshot, cfg Config) error {
 	e.autoThreshold = s.AutoThreshold
 	e.bins = cfg.ITDR.Bins()
 	e.satStreak = make([]int, e.bins)
-	e.mask = nil
+	var mask fingerprint.BinMask
 	if len(s.MaskedBins) > 0 {
-		e.mask = fingerprint.NewBinMask(e.bins)
+		mask = fingerprint.NewBinMask(e.bins)
 		for _, i := range s.MaskedBins {
-			e.mask[i] = true
+			mask[i] = true
 		}
 	}
+	e.setMask(mask, cfg.Robust.MaskGuard)
 	e.window = append(e.window[:0], s.Window...)
 	e.lastScore = s.LastScore
 	e.reenrollments = s.Reenrollments

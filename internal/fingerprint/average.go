@@ -38,14 +38,16 @@ func (a *Averager) Add(w *signal.Waveform) {
 // Count returns the number of measurements folded in since the last Reset.
 func (a *Averager) Count() int { return a.n }
 
-// FromAverage finalizes the accumulated mean and runs it through the IIP
-// extraction pipeline. The returned fingerprint owns its memory and is safe
-// to enroll or retain. Averaging zero measurements is an error, matching
-// Pipeline.Average.
-func (p Pipeline) FromAverage(a *Averager) (IIP, error) {
+// FromAverage finalizes the accumulated mean, repairs the bins the mask
+// marks dead (FromWaveformMasked; an empty mask repairs nothing), and runs
+// it through the IIP extraction pipeline — enrollment, and the
+// re-enrollment of a degraded instrument. The returned fingerprint owns its
+// memory and is safe to enroll or retain. Averaging zero measurements is an
+// error, matching Pipeline.Average.
+func (p Pipeline) FromAverage(a *Averager, m BinMask) (IIP, error) {
 	if a.n == 0 {
 		return IIP{}, fmt.Errorf("fingerprint: cannot average zero measurements")
 	}
 	mean := signal.Scale(a.acc, 1/float64(a.n))
-	return p.FromWaveform(mean), nil
+	return p.FromWaveformMasked(mean, m), nil
 }

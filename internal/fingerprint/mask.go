@@ -1,7 +1,6 @@
 package fingerprint
 
 import (
-	"fmt"
 	"math"
 
 	"divot/internal/signal"
@@ -139,40 +138,15 @@ func (p Pipeline) FromWaveformMasked(w *signal.Waveform, m BinMask) IIP {
 	return p.FromWaveform(Repair(w, m))
 }
 
-// AverageMasked is Average with dead-bin repair applied to the mean waveform
-// — the re-enrollment path of a degraded instrument.
-func (p Pipeline) AverageMasked(ws []*signal.Waveform, m BinMask) (IIP, error) {
-	if m.Empty() {
-		return p.Average(ws)
+// cmpMasked reports whether comparison-view sample i is masked. The
+// derivative view's sample i is computed from raw bins i and i+1, so it is
+// invalid when either is masked; the mean-removed view maps one-to-one.
+// Answering per sample keeps masked scoring allocation-free.
+func (f IIP) cmpMasked(m BinMask, i int) bool {
+	if i < len(m) && m[i] {
+		return true
 	}
-	if len(ws) == 0 {
-		return IIP{}, fmt.Errorf("fingerprint: cannot average zero measurements")
-	}
-	acc := signal.New(ws[0].Rate, ws[0].Len())
-	for _, w := range ws {
-		signal.AddInPlace(acc, w)
-	}
-	mean := signal.Scale(acc, 1/float64(len(ws)))
-	return p.FromWaveform(Repair(mean, m)), nil
-}
-
-// cmpMasked projects a raw-bin mask onto the comparison view. The derivative
-// view's sample i is computed from raw bins i and i+1, so it is invalid when
-// either is masked; the mean-removed view maps one-to-one.
-func (f IIP) cmpMasked(m BinMask) BinMask {
-	n := f.cmp.Len()
-	if n == f.Raw.Len() {
-		return m
-	}
-	out := make(BinMask, n)
-	for i := 0; i < n; i++ {
-		bad := i < len(m) && m[i]
-		if i+1 < len(m) && m[i+1] {
-			bad = true
-		}
-		out[i] = bad
-	}
-	return out
+	return f.cmp.Len() != f.Raw.Len() && i+1 < len(m) && m[i+1]
 }
 
 // MaskedSimilarity is Similarity (Eq. 4) restricted to live bins: the cosine
@@ -185,14 +159,13 @@ func MaskedSimilarity(x, y IIP, m BinMask) float64 {
 	if !x.Valid() || !y.Valid() {
 		return 0
 	}
-	cm := x.cmpMasked(m)
 	n := x.cmp.Len()
 	if y.cmp.Len() < n {
 		n = y.cmp.Len()
 	}
 	var dot, xx, yy float64
 	for i := 0; i < n; i++ {
-		if i < len(cm) && cm[i] {
+		if x.cmpMasked(m, i) {
 			continue
 		}
 		a, b := x.cmp.Samples[i], y.cmp.Samples[i]

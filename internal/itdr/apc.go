@@ -95,7 +95,9 @@ const inverterTableSize = 256
 // additionally tabulates the composite CDF so steady-state inversion does no
 // transcendental math at all. The Reflectometer keeps one Inverter per ETS
 // phase bin and promotes it as soon as the bin's reference set proves stable
-// across measurements (always, for clock-triggered probing).
+// across measurements. (An instrument with a shared warmup skips the
+// per-bin Inverter altogether: its bins read the warmup's reconstruction
+// tables, which hold this same map evaluated at every possible count.)
 //
 // An Inverter is immutable after Promote and safe for concurrent use; the
 // promotion itself must be single-goroutine (the measurement engine
@@ -104,11 +106,6 @@ type Inverter struct {
 	cdf   *stats.CompositeCDF
 	table *stats.InverseTable // nil until Promote
 	refs  []float64           // the (unsorted) reference set this was built for
-
-	// memo, when non-nil, caches un-promoted bisections fleet-wide (set by
-	// the warmup-backed reset; see bisectMemo). It never changes a result:
-	// Invert is a pure function of (cdf, p).
-	memo *bisectMemo
 }
 
 // NewInverter builds the inverse map for the given reference levels. The
@@ -128,17 +125,12 @@ func (a APC) NewInverter(refs []float64) *Inverter {
 }
 
 // resetInverter rebuilds iv in place for the given reference levels,
-// avoiding the per-bin heap Inverter of NewInverter. When the instrument has
-// a shared warmup, the bin's CDF, reference slice, and bisect memo all alias
-// the immutable fleet-wide copies; otherwise the CDF is built fresh and the
-// refs are copied out of the caller's scratch, exactly as NewInverter does.
-func (a APC) resetInverter(iv *Inverter, refs []float64, wb *warmBin) {
+// avoiding the per-bin heap Inverter of NewInverter: the CDF is built fresh
+// and the refs are copied out of the caller's scratch, exactly as
+// NewInverter does.
+func (a APC) resetInverter(iv *Inverter, refs []float64) {
 	if len(refs) == 0 {
 		panic("itdr: APC needs at least one reference level")
-	}
-	if wb != nil {
-		*iv = Inverter{cdf: wb.cdf, refs: refs, memo: &wb.memo}
-		return
 	}
 	centers := make([]float64, len(refs))
 	for i, r := range refs {
@@ -155,11 +147,6 @@ func (a APC) resetInverter(iv *Inverter, refs []float64, wb *warmBin) {
 func (iv *Inverter) Matches(refs []float64) bool {
 	if len(refs) != len(iv.refs) {
 		return false
-	}
-	// With a warmup both are the fleet-shared immutable bin refs: one
-	// backing array at one length cannot differ from itself.
-	if len(refs) > 0 && &refs[0] == &iv.refs[0] {
-		return true
 	}
 	for i, r := range refs {
 		if r != iv.refs[i] {
@@ -223,23 +210,25 @@ func (iv *Inverter) Estimate(onesFraction float64, trials int) float64 {
 	if trials <= 0 {
 		panic(fmt.Sprintf("itdr: non-positive trial count %d", trials))
 	}
-	// A count of 0 or trials carries only one-sided information; clamp the
-	// fraction half a count inside so the inverse stays finite.
+	p := clampFraction(onesFraction, trials)
+	if iv.table != nil {
+		return iv.table.Invert(p)
+	}
+	return iv.cdf.Invert(p)
+}
+
+// clampFraction pulls a ones-fraction half a count inside [0, 1]: a count of
+// 0 or trials carries only one-sided information, and the clamp keeps the
+// inverse finite.
+func clampFraction(p float64, trials int) float64 {
 	eps := 0.5 / float64(trials)
-	p := onesFraction
 	if p < eps {
 		p = eps
 	}
 	if p > 1-eps {
 		p = 1 - eps
 	}
-	if iv.table != nil {
-		return iv.table.Invert(p)
-	}
-	if iv.memo != nil {
-		return iv.memo.invert(iv.cdf, p)
-	}
-	return iv.cdf.Invert(p)
+	return p
 }
 
 // EstimateVoltage is the one-shot form of the inverse map, for callers that

@@ -30,8 +30,10 @@ type Arena struct {
 
 	// scratch and binRN are the reference-level buffer and the bin stream
 	// every bin reuses in turn; mStream is the per-measurement parent binRN
-	// is re-derived from at the start of each bin.
+	// is re-derived from at the start of each bin. draws holds one bin's
+	// batched normal draws on the plain trial path.
 	scratch []float64
+	draws   []float64
 	binRN   *rng.Stream
 	mStream *rng.Stream
 
@@ -42,7 +44,7 @@ type Arena struct {
 func NewArena() *Arena { return &Arena{} }
 
 // prepare sizes the arena for a measurement of `bins` bins with `trials`
-// reference levels per bin.
+// reference levels (and up to two normal draws each) per bin.
 func (a *Arena) prepare(rate float64, bins, trials int) {
 	a.out = signal.Reuse(a.out, rate, bins)
 	if cap(a.binCycles) < bins {
@@ -57,6 +59,9 @@ func (a *Arena) prepare(rate float64, bins, trials int) {
 		a.scratch = make([]float64, trials)
 	}
 	a.scratch = a.scratch[:trials]
+	if cap(a.draws) < 2*trials {
+		a.draws = make([]float64, 2*trials)
+	}
 	if a.binRN == nil {
 		a.binRN = rng.New(0)
 		a.mStream = rng.New(0)

@@ -59,9 +59,9 @@ type Reflectometer struct {
 	fwd *signal.Waveform
 
 	// binInv caches one inverse APC map per ETS phase bin across
-	// measurements. Clock-triggered probing revisits each bin with the same
-	// Vernier reference sequence every measurement, so from the second
-	// measurement on the bin's inverter is promoted to a tabulated CDF and
+	// measurements of an instrument without a warmup. A bin whose reference
+	// sequence repeats (an explicit modulator under clock triggering) has
+	// its inverter promoted to a tabulated CDF on the second measurement, so
 	// reconstruction stops paying for erfc entirely.
 	binInv []*Inverter
 	// binInvStore backs binInv with a single flat allocation so building the
@@ -69,11 +69,15 @@ type Reflectometer struct {
 	binInvStore []Inverter
 
 	// wu, when non-nil, is the fleet-shared warm-up for this (Config, Probe)
-	// pair: forward edge, per-bin reference schedules, and per-bin inverse-map
-	// cores (see warmup). Only clock-triggered instruments using the config's
-	// own modulator have one — exactly the case where the acquisition schedule
-	// is a pure function of configuration.
-	wu *warmup
+	// pair: forward edge, per-bin reference schedules, inverse-map cores and
+	// reconstruction tables (see warmup). Only clock-triggered instruments
+	// using the config's own modulator have one — exactly the case where the
+	// acquisition schedule is a pure function of configuration. Such an
+	// instrument keeps no per-bin inverters: its first capture bisects
+	// through the warmup's memo, and every later one reads the warmup's
+	// tables (warmed records which).
+	wu     *warmup
+	warmed bool
 }
 
 // New builds a reflectometer. The stream seeds both the comparator noise and
@@ -151,8 +155,8 @@ func (r *Reflectometer) Measure(line *txline.Line, env txline.Environment) Measu
 // MeasureInto is Measure running entirely inside the caller's arena: the
 // returned Measurement's IIP and Saturated alias the arena's buffers and are
 // valid until the next MeasureInto on the same arena. In steady state (warm
-// arena, warm per-bin inverter cache) a measurement allocates nothing;
-// results are bit-identical to Measure.
+// arena, and a warm per-bin inverter cache or the shared warmup's tables) a
+// measurement allocates nothing; results are bit-identical to Measure.
 func (r *Reflectometer) MeasureInto(a *Arena, line *txline.Line, env txline.Environment) Measurement {
 	cond := env.Sample(r.envRN)
 	return r.measureUnder(a, line, cond)
@@ -214,7 +218,7 @@ func (r *Reflectometer) measureUnder(a *Arena, line *txline.Line, cond txline.Co
 	// on the live traffic and the EMI aggressor drifts in phase, so
 	// neither may repeat identically between measurements.
 	a.mStream.ReseedChildN(r.envRN, "measurement", seq)
-	if len(r.binInv) != bins {
+	if r.wu == nil && len(r.binInv) != bins {
 		r.binInv = make([]*Inverter, bins)
 		r.binInvStore = make([]Inverter, bins)
 	}
@@ -242,14 +246,19 @@ func (r *Reflectometer) measureUnder(a *Arena, line *txline.Line, cond txline.Co
 		mf:          mf,
 		faulted:     faulted,
 		distorted:   faulted && mf.distortsTrials(),
+		plain:       r.wu != nil && !faulted && cond.EMIAmplitude == 0,
 		jitterRMS:   jitterRMS,
 		clockPeriod: 1 / cfg.SampleClockHz,
 		binStride:   binStride,
 		wu:          r.wu,
 	}
+	if r.warmed {
+		a.ctx.est = r.wu.estimates()
+	}
 	for m := 0; m < bins; m++ {
 		r.measureBin(a, m)
 	}
+	r.warmed = r.wu != nil
 
 	cycles := 0
 	for _, c := range a.binCycles {
@@ -280,15 +289,22 @@ func (r *Reflectometer) measureUnder(a *Arena, line *txline.Line, cond txline.Co
 // binCtx is the per-measurement state every bin reads; it lives inside the
 // arena so assembling it per measurement costs nothing.
 type binCtx struct {
-	cond        txline.Condition
-	seen        *signal.Waveform
-	mf          MeasurementFault
-	faulted     bool
-	distorted   bool
+	cond      txline.Condition
+	seen      *signal.Waveform
+	mf        MeasurementFault
+	faulted   bool
+	distorted bool
+	// plain marks a measurement whose bins draw exactly one (jitter, noise)
+	// pair per trial and nothing else: a shared warmup's clock-triggered
+	// schedule, no active fault and no EMI. Its bins take plainTrials.
+	plain       bool
 	jitterRMS   float64
 	clockPeriod float64
 	binStride   int
 	wu          *warmup
+	// est, when non-nil, is the warmup's per-bin reconstruction tables —
+	// set once the instrument's first capture is behind it.
+	est []warmBin
 }
 
 // measureBin acquires one ETS phase bin: trigger search, trial loop, and
@@ -297,8 +313,76 @@ type binCtx struct {
 func (r *Reflectometer) measureBin(a *Arena, m int) {
 	cfg := r.cfg
 	c := &a.ctx
+	a.binRN.ReseedChildN(a.mStream, "bin", uint64(m))
+	tBin := float64(m) * cfg.PhaseStepSec
+	xtalk := c.cond.CrosstalkAt(tBin)
+	var ones, cycle int
+	if c.plain {
+		ones, cycle = r.plainTrials(a, c.wu.refs[m], tBin, xtalk), cfg.TrialsPerBin
+	} else {
+		ones, cycle = r.trials(a, m, tBin, xtalk)
+	}
+	a.saturated[m] = ones == 0 || ones == cfg.TrialsPerBin
+	a.binCycles[m] = cycle
+	switch {
+	case c.est != nil:
+		// The bin's estimate is a pure function of its count: one load.
+		a.out.Samples[m] = c.est[m].est[ones]
+	case c.wu != nil:
+		a.out.Samples[m] = c.wu.coldEstimate(m, ones)
+	default:
+		a.out.Samples[m] = r.invertBin(a.scratch, m, ones)
+	}
+}
+
+// plainTrials is the trial loop of a plain measurement (binCtx.plain):
+// every trial samples the bin at tBin plus PLL jitter and compares against
+// the shared reference with fresh comparator noise. It batches the bin's
+// normal draws into the arena up front and then decides every trial with
+// the same expressions the general loop evaluates — Gaussian's
+// `0 + sigma*n`, the same Waveform.At sample, SampleWith's comparison — so
+// its counts are bit-identical to trials' on the same stream. It returns
+// the ones count.
+func (r *Reflectometer) plainTrials(a *Arena, refs []float64, tBin, xtalk float64) int {
+	jit := a.ctx.jitterRMS
+	sigma, off := r.comp.NoiseSigma, r.comp.Offset
+	ones := 0
+	if jit > 0 {
+		// Each trial draws its PLL jitter, then its comparator noise.
+		draws := a.draws[:2*len(refs)]
+		a.binRN.NormFloat64s(draws)
+		seen := a.ctx.seen
+		for j, ref := range refs {
+			v := seen.At(tBin + (0 + jit*draws[2*j]))
+			if v+xtalk+off+(0+sigma*draws[2*j+1]) > ref {
+				ones++
+			}
+		}
+		return ones
+	}
+	// Without jitter every trial samples the same instant; the only draw is
+	// the comparator noise.
+	draws := a.draws[:len(refs)]
+	a.binRN.NormFloat64s(draws)
+	vsig := a.ctx.seen.At(tBin) + xtalk
+	for j, ref := range refs {
+		if vsig+off+(0+sigma*draws[j]) > ref {
+			ones++
+		}
+	}
+	return ones
+}
+
+// trials is the general trial loop: every trigger mode, explicit
+// modulators, EMI, and every fault. It is the only path that serves those
+// inputs and the oracle plainTrials is pinned against. It returns the ones
+// count (after any counter upset) and the cycles the bin consumed. Without a
+// warmup the bin's reference levels are left in the arena's scratch for
+// the inverse map.
+func (r *Reflectometer) trials(a *Arena, m int, tBin, xtalk float64) (ones, cycle int) {
+	cfg := r.cfg
+	c := &a.ctx
 	bs := a.binRN
-	bs.ReseedChildN(a.mStream, "bin", uint64(m))
 	// With a shared warmup the bin's reference schedule was precomputed once
 	// for the whole fleet: read it instead of re-evaluating the modulator per
 	// trial. wuRefs is immutable — the trial loop must not write it.
@@ -306,17 +390,12 @@ func (r *Reflectometer) measureBin(a *Arena, m int) {
 	var wuRefs []float64
 	if c.wu != nil {
 		wuRefs = c.wu.refs[m]
-		refs = wuRefs
 	}
-	tBin := float64(m) * cfg.PhaseStepSec
-	xtalk := c.cond.CrosstalkAt(tBin)
 	var bf BinFault
 	if c.faulted && c.mf.Bin != nil {
 		bf = c.mf.Bin(m)
 	}
-	ones := 0
 	cycleBase := m * c.binStride
-	cycle := 0
 	for j := 0; j < cfg.TrialsPerBin; j++ {
 		// Advance to the bin's next cycle carrying a usable launch edge.
 		polarity := 1.0
@@ -401,30 +480,29 @@ func (r *Reflectometer) measureBin(a *Arena, m int) {
 			ones = cfg.TrialsPerBin
 		}
 	}
-	a.saturated[m] = ones == 0 || ones == cfg.TrialsPerBin
-	p := float64(ones) / float64(cfg.TrialsPerBin)
-	// Per-bin inverse-map cache: reuse the inverter while the bin's
-	// reference sequence repeats (always, under TriggerClock) and
-	// promote it to a tabulated CDF on the first reuse. Data-triggered
-	// modes see fresh cycle offsets each measurement, so they rebuild —
-	// still cheaper than before thanks to the sorted, windowed CDF.
+	return ones, cycle
+}
+
+// invertBin reconstructs bin m of an instrument without a warmup from its
+// ones count, through the per-bin inverse-map cache: reuse the inverter
+// while the bin's reference sequence (refs, as the trial loop left it)
+// repeats and promote it to a tabulated CDF on the first reuse.
+// Data-triggered modes see fresh cycle offsets each measurement, so they
+// rebuild — still cheaper than before thanks to the sorted, windowed CDF.
+func (r *Reflectometer) invertBin(refs []float64, m, ones int) float64 {
+	cfg := r.cfg
 	inv := r.binInv[m]
 	switch {
 	case inv == nil || !inv.Matches(refs):
 		// Cache miss: rebuild in place into the flat per-bin store — one
-		// slice for all bins instead of a heap Inverter per bin, and with a
-		// warmup the CDF/refs/memo alias the fleet-shared copies.
+		// slice for all bins instead of a heap Inverter per bin.
 		inv = &r.binInvStore[m]
-		var wb *warmBin
-		if c.wu != nil {
-			wb = &c.wu.bins[m]
-		}
-		r.apc.resetInverter(inv, refs, wb)
+		r.apc.resetInverter(inv, refs)
 		r.binInv[m] = inv
 	default:
 		inv.Promote()
 	}
 	// Refer the estimate back to the line by undoing the coupler gain.
-	a.out.Samples[m] = inv.Estimate(p, cfg.TrialsPerBin) / cfg.Coupler.Factor
-	a.binCycles[m] = cycle
+	p := float64(ones) / float64(cfg.TrialsPerBin)
+	return inv.Estimate(p, cfg.TrialsPerBin) / cfg.Coupler.Factor
 }

@@ -12,35 +12,80 @@ import (
 
 // warmup holds everything about an instrument's acquisition that is a pure
 // function of (Config, Probe) under clock-triggered probing: the forward
-// incident edge, the per-bin Vernier reference sequences, and the per-bin
-// composite CDFs with a memo of cold bisections. Clock triggering advances
-// every bin by exactly one cycle per trial, so the reference schedule —
-// and therefore each bin's inverse map — is identical for every measurement
-// of every instrument sharing the configuration. A 1000-bus fleet of
-// identical buses builds all of this once instead of a thousand times, which
-// is the fleet-wide dedup of the composite-CDF/synthesis warm-up.
+// incident edge, the per-bin Vernier reference sequences, the per-bin
+// composite CDFs with a memo of cold bisections, and the per-bin
+// reconstruction tables. Clock triggering advances every bin by exactly one
+// cycle per trial, so the reference schedule — and therefore each bin's
+// inverse map — is identical for every measurement of every instrument
+// sharing the configuration. A 1000-bus fleet of identical buses builds all
+// of this once instead of a thousand times, which is the fleet-wide dedup of
+// the composite-CDF/synthesis warm-up.
 //
-// Everything here is immutable after construction (the bisect memos are
-// internally synchronized), so sharing across instruments and goroutines is
-// free. Values produced through the warmup are bit-identical to the uncached
-// path: the refs come from the same Level calls at the same times, the CDFs
-// from the same constructor, and the memoized Invert from the same pure
-// bisection.
+// Everything here is immutable once built (the bisect memos are internally
+// synchronized, the reconstruction tables are published through a
+// sync.Once), so sharing across instruments and goroutines is free. Values
+// produced through the warmup are bit-identical to the uncached path: the
+// refs come from the same Level calls at the same times, the CDFs from the
+// same constructor, the memoized Invert from the same pure bisection, and
+// each table entry from the same promoted Inverter.Estimate an instrument
+// without a warmup evaluates per bin.
 type warmup struct {
 	fwd  *signal.Waveform
 	refs [][]float64
 	bins []warmBin
+
+	// trials and factor are the config's TrialsPerBin and coupler factor:
+	// the inputs, besides a bin's CDF, of its reconstruction table.
+	trials  int
+	factor  float64
+	estOnce sync.Once
 }
 
 // warmBin is the shared immutable inverse-map core for one ETS phase bin.
 type warmBin struct {
 	cdf  *stats.CompositeCDF
 	memo bisectMemo
+	// est[k] is the line-referred estimate of a promoted inverter for a
+	// ones count of k: Inverter.Estimate(k/T, T) / Coupler.Factor on the
+	// shared promoted table, for k in [0, T]. Built on first use by
+	// estimates.
+	est []float64
 }
 
-// bisectMemo caches CompositeCDF.Invert results for the un-promoted
-// (first-measurement) inverter. Invert is a pure function of the CDF
-// parameters and p, and with TrialsPerBin trials p takes at most
+// estimates returns the per-bin reconstruction tables, tabulating them on
+// the first call. They serve every capture after an instrument's first:
+// from then on a bin's estimate depends on nothing but its ones count, so
+// reconstruction is one indexed load per bin.
+func (w *warmup) estimates() []warmBin {
+	w.estOnce.Do(func() {
+		n := w.trials + 1
+		flat := make([]float64, len(w.bins)*n)
+		for m := range w.bins {
+			wb := &w.bins[m]
+			iv := Inverter{cdf: wb.cdf}
+			iv.Promote()
+			est := flat[m*n : (m+1)*n : (m+1)*n]
+			for k := range est {
+				est[k] = iv.Estimate(float64(k)/float64(w.trials), w.trials) / w.factor
+			}
+			wb.est = est
+		}
+	})
+	return w.bins
+}
+
+// coldEstimate is bin m's line-referred estimate for a ones count of k from
+// an un-promoted inverter — an instrument's first capture — bisecting
+// through the bin's shared memo.
+func (w *warmup) coldEstimate(m, k int) float64 {
+	wb := &w.bins[m]
+	p := clampFraction(float64(k)/float64(w.trials), w.trials)
+	return wb.memo.invert(wb.cdf, p) / w.factor
+}
+
+// bisectMemo caches CompositeCDF.Invert results for an instrument's first
+// capture, whose inverters are not yet promoted. Invert is a pure function
+// of the CDF parameters and p, and with TrialsPerBin trials p takes at most
 // TrialsPerBin+1 distinct clamped values, so the memo stays tiny while
 // collapsing the fleet's cold-start bisection cost: after the first
 // instrument's first measurement, every other instrument's first measurement
@@ -70,7 +115,8 @@ type warmupKey struct {
 // warmupCache deduplicates warmups process-wide. Growth is bounded by the
 // set of distinct (Config, Probe) pairs the process instantiates — one entry
 // for a homogeneous fleet, a few dozen for an experiment sweep — at roughly
-// 150 KB per entry at the default geometry.
+// 150 KB per entry at the default geometry, plus 70 KB of reconstruction
+// tables once a second capture has asked for them.
 var warmupCache sync.Map // warmupKey → *warmupEntry
 
 type warmupEntry struct {
@@ -107,9 +153,11 @@ func newWarmup(cfg Config, probe txline.Probe) *warmup {
 	clockPeriod := 1 / cfg.SampleClockHz
 
 	w := &warmup{
-		fwd:  signal.StepEdge(rate, bins, 0, probe.RiseTime, probe.Amplitude),
-		refs: make([][]float64, bins),
-		bins: make([]warmBin, bins),
+		fwd:    signal.StepEdge(rate, bins, 0, probe.RiseTime, probe.Amplitude),
+		refs:   make([][]float64, bins),
+		bins:   make([]warmBin, bins),
+		trials: cfg.TrialsPerBin,
+		factor: cfg.Coupler.Factor,
 	}
 	for m := 0; m < bins; m++ {
 		tBin := float64(m) * cfg.PhaseStepSec

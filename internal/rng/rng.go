@@ -118,6 +118,17 @@ func (s *Stream) Gaussian(mean, sigma float64) float64 {
 	return mean + sigma*s.r.NormFloat64()
 }
 
+// NormFloat64s fills dst with standard normal samples: exactly the values,
+// in order, that len(dst) successive draws behind Gaussian would scale. Hot
+// loops that take a fixed number of draws batch them through here and apply
+// Gaussian's `mean + sigma*n` themselves, leaving the stream in the same
+// state.
+func (s *Stream) NormFloat64s(dst []float64) {
+	for i := range dst {
+		dst[i] = s.r.NormFloat64()
+	}
+}
+
 // Intn returns a uniform sample in [0, n).
 func (s *Stream) Intn(n int) int { return s.r.IntN(n) }
 

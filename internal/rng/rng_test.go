@@ -123,3 +123,22 @@ func TestChildNIndicesDiffer(t *testing.T) {
 		t.Error("ChildN(label, 0) must not collide with Child(label)")
 	}
 }
+
+// TestNormFloat64sMatchesGaussian pins the batched fill to the per-call
+// draw: scaling each filled normal the way Gaussian does must reproduce a
+// twin stream's Gaussian sequence bit for bit, and leave both streams in
+// the same state.
+func TestNormFloat64sMatchesGaussian(t *testing.T) {
+	const sigma = 0.4e-3
+	a, b := New(31), New(31)
+	buf := make([]float64, 257)
+	a.NormFloat64s(buf)
+	for i, n := range buf {
+		if got, want := 0+sigma*n, b.Gaussian(0, sigma); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("draw %d: filled %v, Gaussian %v", i, got, want)
+		}
+	}
+	if a.Float64() != b.Float64() {
+		t.Fatal("fill left the stream in a different state")
+	}
+}
